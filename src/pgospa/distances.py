@@ -36,6 +36,7 @@ __all__ = [
     "base_distance",
     "cutoff",
     "euclidean_dirac",
+    "euclidean_matrix",
     "gaussian_hellinger",
     "gaussian_w2",
     "pairwise_base_distance",
@@ -75,6 +76,21 @@ def _cov_of(d) -> np.ndarray:
     if isinstance(d, GaussianDensity):
         return d.cov
     return np.zeros((d.dim, d.dim))
+
+
+def _check_hellinger_operands(densities) -> None:
+    for d in densities:
+        if not isinstance(d, GaussianDensity):
+            raise ValueError("Hellinger distance requires Gaussian densities")
+        if float(np.linalg.eigvalsh(d.cov).min()) <= HELLINGER_MIN_EIG:
+            raise ValueError(
+                "Hellinger distance requires strictly positive-definite covariances"
+            )
+
+
+def euclidean_matrix(ax, ay) -> np.ndarray:
+    """Euclidean distances between the rows of (m, D) and (n, D) arrays."""
+    return np.sqrt(((ax[:, None, :] - ay[None, :, :]) ** 2).sum(-1))
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
@@ -157,13 +173,7 @@ def gaussian_w2(px, py) -> float:
 def gaussian_hellinger(px, py) -> float:
     """Hellinger distance between strictly positive-definite Gaussians."""
     _check_dims(px, py)
-    for d in (px, py):
-        if not isinstance(d, GaussianDensity):
-            raise ValueError("Hellinger distance requires Gaussian densities")
-        if float(np.linalg.eigvalsh(d.cov).min()) <= HELLINGER_MIN_EIG:
-            raise ValueError(
-                "Hellinger distance requires strictly positive-definite covariances"
-            )
+    _check_hellinger_operands((px, py))
     if px.key() == py.key():
         return 0.0
     if py.key() < px.key():
@@ -214,18 +224,12 @@ def pairwise_base_distance(
     if kind is BaseDistanceKind.EUCLIDEAN:
         if not all(isinstance(d, DiracDensity) for d in xs + ys):
             raise ValueError("euclidean base distance requires Dirac densities")
-        ax = np.stack([d.location for d in xs])
-        ay = np.stack([d.location for d in ys])
-        return np.sqrt(((ax[:, None, :] - ay[None, :, :]) ** 2).sum(-1))
+        return euclidean_matrix(
+            np.stack([d.location for d in xs]), np.stack([d.location for d in ys])
+        )
 
     if kind is BaseDistanceKind.HELLINGER:
-        for d in xs + ys:
-            if not isinstance(d, GaussianDensity):
-                raise ValueError("Hellinger distance requires Gaussian densities")
-            if float(np.linalg.eigvalsh(d.cov).min()) <= HELLINGER_MIN_EIG:
-                raise ValueError(
-                    "Hellinger distance requires strictly positive-definite covariances"
-                )
+        _check_hellinger_operands(xs + ys)
         mx = np.stack([d.mean for d in xs])
         my = np.stack([d.mean for d in ys])
         Px = np.stack([d.cov for d in xs])
@@ -243,10 +247,10 @@ def pairwise_base_distance(
         )
 
     if any(isinstance(d, GaussianDensity) for d in xs + ys):
-        kx = [d.key() for d in xs]
-        ky = [d.key() for d in ys]
-        for i, a in enumerate(kx):
-            for j, b in enumerate(ky):
-                if a == b:
-                    out[i, j] = 0.0
+        rows_of = {}
+        for i, d in enumerate(xs):
+            rows_of.setdefault(d.key(), []).append(i)
+        for j, d in enumerate(ys):
+            for i in rows_of.get(d.key(), ()):
+                out[i, j] = 0.0
     return out

@@ -24,8 +24,10 @@ pair whose cut-off distance saturates (d_ij >= c) contributes exactly the
 same cost as leaving both components unmatched, and is reported as
 unmatched.
 
-``gospa`` is the special case of point sets, i.e. all existence
-probabilities one and Dirac densities, with the Euclidean base distance.
+``gospa`` evaluates point sets.  Its result is by definition the metric
+above on the lifted MB densities (all existence probabilities one, Dirac
+densities at the points) with the Euclidean base distance; both entry
+points are thin adapters over one array-level core.
 """
 
 from __future__ import annotations
@@ -36,7 +38,12 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .assignment import solve_assignment
-from .distances import BaseDistanceKind, base_distance, pairwise_base_distance
+from .distances import (
+    BaseDistanceKind,
+    base_distance,
+    euclidean_matrix,
+    pairwise_base_distance,
+)
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
@@ -126,39 +133,20 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs):
     return best
 
 
-def pgospa(
-    fx: MBDensity,
-    fy: MBDensity,
-    params: MetricParams,
-    base: BaseDistanceKind = BaseDistanceKind.W2,
-    *,
-    detect_near_ties: bool = False,
-) -> PGospaResult:
-    """Metric between two MB densities, with optimal matching and, for
-    alpha = 2, the four-way decomposition.
-
-    ``detect_near_ties`` additionally reports whether a different matching
-    comes within ``NEAR_TIE_ABS_TOL`` of the optimal metric value (the
-    decomposition is then sensitive to the deterministic tie-break).
-    """
-    base = BaseDistanceKind(base)
-    if fx.dim is not None and fy.dim is not None and fx.dim != fy.dim:
-        raise DimensionMismatchError(
-            f"MB densities have dimensions {fx.dim} and {fy.dim}"
-        )
-    swapped = len(fx) > len(fy)
-    a, b = (fy, fx) if swapped else (fx, fy)
-    nx, ny = len(a), len(b)
+def _core(rx, ry, D, params, base, swapped, detect_near_ties) -> PGospaResult:
+    """Metric from the smaller side's existence probabilities ``rx``, the
+    larger side's ``ry`` and their base-distance matrix ``D`` (len(rx) x
+    len(ry)).  ``swapped`` tells that the smaller side is the caller's second
+    operand, so reported pairs and the missed/false terms are turned back;
+    ``base`` is the label reported with the result."""
+    nx, ny = len(rx), len(ry)
     p, c, alpha = params.p, params.c, params.alpha
     cpa = c**p / alpha
     with_decomposition = alpha == 2.0
 
-    rx = a.existence
-    ry = b.existence
-
     if ny == 0:
         zero = 0.0 if with_decomposition else None
-        return PGospaResult(0.0, (), zero, zero, zero, zero, c, p, alpha, base.value)
+        return PGospaResult(0.0, (), zero, zero, zero, zero, c, p, alpha, base)
 
     near_tie = None
     if nx == 0:
@@ -171,7 +159,6 @@ def pgospa(
         if detect_near_ties:
             near_tie = False
     else:
-        D = pairwise_base_distance(a.densities, b.densities, base)
         Dc = np.minimum(D, c)
         loc_term = np.minimum(rx[:, None], ry[None, :]) * Dc**p
         mis_term = np.abs(rx[:, None] - ry[None, :]) * cpa
@@ -212,26 +199,45 @@ def pgospa(
             missed, false = false, missed
 
     return PGospaResult(
-        total,
-        report_pairs,
-        loc,
-        mism,
-        missed,
-        false,
-        c,
-        p,
-        alpha,
-        base.value,
-        near_tie,
+        total, report_pairs, loc, mism, missed, false, c, p, alpha, base, near_tie
+    )
+
+
+def pgospa(
+    fx: MBDensity,
+    fy: MBDensity,
+    params: MetricParams,
+    base: BaseDistanceKind = BaseDistanceKind.W2,
+    *,
+    detect_near_ties: bool = False,
+) -> PGospaResult:
+    """Metric between two MB densities, with optimal matching and, for
+    alpha = 2, the four-way decomposition.
+
+    ``detect_near_ties`` additionally reports whether a different matching
+    comes within ``NEAR_TIE_ABS_TOL`` of the optimal metric value (the
+    decomposition is then sensitive to the deterministic tie-break).
+    """
+    base = BaseDistanceKind(base)
+    if fx.dim is not None and fy.dim is not None and fx.dim != fy.dim:
+        raise DimensionMismatchError(
+            f"MB densities have dimensions {fx.dim} and {fy.dim}"
+        )
+    swapped = len(fx) > len(fy)
+    a, b = (fy, fx) if swapped else (fx, fy)
+    D = pairwise_base_distance(a.densities, b.densities, base)
+    return _core(
+        a.existence, b.existence, D, params, base.value, swapped, detect_near_ties
     )
 
 
 def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
     """GOSPA between finite point sets with the Euclidean base distance.
 
-    Equals ``pgospa`` on the corresponding MB densities built from unit
-    existence probabilities and Dirac densities; the existence-mismatch
-    term is identically zero.
+    By definition this is ``pgospa`` with the Euclidean base distance on
+    the lifted MB densities (unit existence probabilities, Dirac densities
+    at the points), and it runs the same computation; the
+    existence-mismatch term is identically zero.
     """
     X = np.asarray(x_points, dtype=float)
     Y = np.asarray(y_points, dtype=float)
@@ -247,61 +253,11 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
         raise DimensionMismatchError(
             f"point sets have dimensions {X.shape[1]} and {Y.shape[1]}"
         )
-    p, c, alpha = params.p, params.c, params.alpha
-    cpa = c**p / alpha
-    with_decomposition = alpha == 2.0
-
     swapped = len(X) > len(Y)
     A, B = (Y, X) if swapped else (X, Y)
-    nx, ny = len(A), len(B)
-
-    if ny == 0:
-        zero = 0.0 if with_decomposition else None
-        return PGospaResult(
-            0.0, (), zero, zero, zero, zero, c, p, alpha, BaseDistanceKind.EUCLIDEAN.value
-        )
-
-    if nx == 0:
-        pairs = ()
-        gamma = ()
-        total_p = cpa * ny
-        loc = 0.0
-    else:
-        D = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1))
-        Dc = np.minimum(D, c)
-        cost = Dc**p
-        pairs = solve_assignment(cost).pairs
-        total_p = float(sum(cost[i, j] for i, j in pairs)) + cpa * (ny - nx)
-        gamma = tuple((i, j) for i, j in pairs if D[i, j] < c)
-        loc = float(sum(cost[i, j] for i, j in gamma))
-
-    total = float(total_p ** (1.0 / p))
-    if with_decomposition:
-        missed = cpa * (nx - len(gamma))
-        false = cpa * (ny - len(gamma))
-        mism = 0.0
-        report_pairs = gamma
-    else:
-        loc = mism = missed = false = None
-        report_pairs = pairs
-
-    if swapped:
-        report_pairs = tuple(sorted((j, i) for i, j in report_pairs))
-        if with_decomposition:
-            missed, false = false, missed
-
-    return PGospaResult(
-        total,
-        report_pairs,
-        loc,
-        mism,
-        missed,
-        false,
-        c,
-        p,
-        alpha,
-        BaseDistanceKind.EUCLIDEAN.value,
-    )
+    D = euclidean_matrix(A, B) if len(A) else np.zeros((0, len(B)))
+    base = BaseDistanceKind.EUCLIDEAN.value
+    return _core(np.ones(len(A)), np.ones(len(B)), D, params, base, swapped, False)
 
 
 def mbm_pgospa(

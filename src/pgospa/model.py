@@ -83,8 +83,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float; booleans, non-numbers and numbers beyond the
+    double range are schema errors."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise SchemaError(f"{what} is not a number")
+
+
+def _float_array(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{what} is not an array of numbers")
+
+
 def _state_vector(value, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, what)
     if arr.ndim != 1 or arr.size == 0:
         raise SchemaError(f"{what} must be a non-empty 1-D real vector")
     if not np.all(np.isfinite(arr)):
@@ -131,7 +149,7 @@ class GaussianDensity:
 
     def __init__(self, mean, cov):
         mean = _state_vector(mean, "gaussian mean")
-        cov = np.asarray(cov, dtype=float)
+        cov = _float_array(cov, "covariance")
         if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
             raise SchemaError(
                 f"covariance must be {mean.size}x{mean.size}, got {cov.shape}"
@@ -248,8 +266,8 @@ class MBMixture:
                 f"mixture entries mix state dimensions {sorted(dims)}"
             )
         total = sum(w for w, _ in entries)
-        if total <= 0.0:
-            raise SchemaError("mixture weights must have a positive sum")
+        if not (np.isfinite(total) and total > 0.0):
+            raise SchemaError("mixture weights must have a positive finite sum")
         if abs(total - 1.0) > MIXTURE_WARN_TOL:
             warnings.warn(
                 f"mixture weights sum to {total:.9g}; renormalizing", stacklevel=3
@@ -271,7 +289,8 @@ class MBMixture:
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Cut-off c > 0, exponent p >= 1, cardinality penalty alpha in (0, 2]."""
+    """Cut-off c > 0, exponent p >= 1, cardinality penalty alpha in (0, 2],
+    with c**p / alpha finite."""
 
     c: float = 10.0
     p: float = 2.0
@@ -284,6 +303,14 @@ class MetricParams:
             raise ValueError(f"exponent p must satisfy 1 <= p < inf, got {self.p!r}")
         if not (np.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha!r}")
+        try:
+            cpa = self.c**self.p / self.alpha
+        except OverflowError:
+            cpa = np.inf
+        if not np.isfinite(cpa):
+            raise ValueError(
+                f"c**p / alpha overflows (c={self.c!r}, p={self.p!r}, alpha={self.alpha!r})"
+            )
 
 
 def append_zero_components(mb: MBDensity, k: int, dim: int | None = None) -> MBDensity:
@@ -351,10 +378,7 @@ def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
         item = _require_mapping(item, f"component {k}")
         if "r" not in item or "density" not in item:
             raise SchemaError(f"component {k} requires 'r' and 'density'")
-        try:
-            r = float(item["r"])
-        except (TypeError, ValueError):
-            raise SchemaError(f"component {k}: existence probability is not a number")
+        r = _number(item["r"], f"component {k}: existence probability")
         if not np.isfinite(r) or r > 1.0 or r < 0.0 or (r == 0.0 and not allow_zero_existence):
             raise SchemaError(
                 f"component {k}: existence probability out of range (r={r!r})"
@@ -384,7 +408,10 @@ def mbm_from_dict(data, allow_zero_existence: bool = False) -> MBMixture:
         if "weight" not in item or "mb" not in item:
             raise SchemaError(f"mixture entry {k} requires 'weight' and 'mb'")
         entries.append(
-            (float(item["weight"]), mb_from_dict(item["mb"], allow_zero_existence))
+            (
+                _number(item["weight"], f"mixture entry {k}: weight"),
+                mb_from_dict(item["mb"], allow_zero_existence),
+            )
         )
     return MBMixture(entries)
 
@@ -406,7 +433,7 @@ def points_from_dict(data) -> np.ndarray:
         return np.zeros((0, 0))
     try:
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise SchemaError("'points' must be a list of equal-length vectors")
     if arr.ndim != 2:
         raise SchemaError("'points' must be a list of equal-length vectors")

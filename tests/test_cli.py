@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgospa.cli import main
 from pgospa.model import canonical_json
@@ -249,3 +254,155 @@ class TestOracleCommands:
         code, _, err = run(capsys, "oracle", "qospa", fx, fx)
         assert code == 2
         assert "exactly one" in err
+
+
+class TestParseErrorsExit2:
+    def _eval_component(self, tmp_path, capsys, component):
+        fx = write(tmp_path / "x.json", mb_doc(component))
+        fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0)))
+        return run(capsys, "eval", fx, fy)
+
+    def _eval_weight(self, tmp_path, capsys, weight):
+        ref = write(tmp_path / "ref.json", mb_doc(dirac(1.0, 0.0)))
+        mix = write(
+            tmp_path / "mix.json",
+            {"mixture": [{"weight": weight, "mb": mb_doc(dirac(1.0, 2.0))}]},
+        )
+        return run(capsys, "eval", mix, ref)
+
+    def test_null_weight(self, tmp_path, capsys):
+        code, _, err = self._eval_weight(tmp_path, capsys, None)
+        assert code == 2
+        assert "weight" in err
+
+    def test_string_weight(self, tmp_path, capsys):
+        assert self._eval_weight(tmp_path, capsys, "x")[0] == 2
+
+    def test_boolean_weight(self, tmp_path, capsys):
+        assert self._eval_weight(tmp_path, capsys, True)[0] == 2
+
+    def test_overflowing_weight(self, tmp_path, capsys):
+        assert self._eval_weight(tmp_path, capsys, 10**400)[0] == 2
+
+    def test_string_mean(self, tmp_path, capsys):
+        code, _, err = self._eval_component(
+            tmp_path, capsys, gauss(0.5, "abc", [[1.0]])
+        )
+        assert code == 2
+        assert "mean" in err
+
+    def test_string_cov(self, tmp_path, capsys):
+        code, _, err = self._eval_component(tmp_path, capsys, gauss(0.5, [0.0], "abc"))
+        assert code == 2
+        assert "covariance" in err
+
+    def test_boolean_r(self, tmp_path, capsys):
+        code, _, err = self._eval_component(tmp_path, capsys, dirac(True, 0.0))
+        assert code == 2
+        assert "existence probability" in err
+
+    def test_overflowing_location(self, tmp_path, capsys):
+        assert self._eval_component(tmp_path, capsys, dirac(0.5, 10**400))[0] == 2
+
+    def test_overflowing_points(self, tmp_path, capsys):
+        fx = write(tmp_path / "x.json", {"points": [[10**400]]})
+        fy = write(tmp_path / "y.json", {"points": [[0.0]]})
+        assert run(capsys, "eval", fx, fy)[0] == 2
+
+
+def test_overflowing_cutoff_power_exits_3(tmp_path, capsys):
+    f = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))
+    code, _, err = run(capsys, "eval", f, f, "--c", "1e200", "--p", "2")
+    assert code == 3
+    assert "overflows" in err
+
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+_KINDS = st.sampled_from(["mb", "mb", "mixture", "points", "junk"])
+
+
+@st.composite
+def _documents(draw):
+    """JSON documents shaped like MB, mixture and point-set inputs.  In a
+    noisy document any field may be replaced by arbitrary JSON or an
+    extreme number."""
+    dim = draw(st.shared(st.integers(1, 3), key="dim"))
+    extreme = st.floats() | st.integers()
+    noisy = draw(st.booleans())
+
+    def mostly(good, bad=_junk):
+        return draw(bad) if noisy and draw(st.integers(0, 9)) == 0 else draw(good)
+
+    def number():
+        return mostly(st.floats(-20.0, 20.0) | st.integers(-3, 3), extreme)
+
+    def vector():
+        return mostly(st.just([number() for _ in range(dim)]))
+
+    def cov():
+        diag = draw(st.lists(st.floats(0.01, 10.0), min_size=dim, max_size=dim))
+        full = [[number() for _ in range(dim)] for _ in range(dim)]
+        return mostly(
+            st.just([[diag[i] if i == j else 0.0 for j in range(dim)] for i in range(dim)]),
+            st.just(full) | _junk,
+        )
+
+    def component():
+        if draw(st.booleans()):
+            density = {"type": "dirac", "location": vector()}
+        else:
+            density = {"type": "gaussian", "mean": vector(), "cov": cov()}
+        r = mostly(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), extreme | _junk)
+        return mostly(st.just({"r": r, "density": density}))
+
+    def mb():
+        return {"components": [component() for _ in range(draw(st.integers(0, 4)))]}
+
+    kind = draw(st.shared(_KINDS, key="kind") | _KINDS)
+    if kind == "mb":
+        return mb()
+    if kind == "mixture":
+        entries = [
+            {"weight": mostly(st.floats(0.0, 2.0), extreme | _junk), "mb": mb()}
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        return {"mixture": entries}
+    if kind == "points":
+        return {"points": [vector() for _ in range(draw(st.integers(0, 4)))]}
+    return draw(_junk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc_x=_documents(),
+    doc_y=_documents(),
+    c=st.one_of(st.floats(0.1, 20.0), st.floats(0.1, 20.0), st.floats(0.1, 20.0), st.floats()),
+    p=st.one_of(st.floats(1.0, 4.0), st.just(1.0), st.just(2.0), st.floats()),
+    alpha=st.one_of(st.floats(0.1, 2.0), st.just(2.0), st.just(2.0), st.floats()),
+    base=st.sampled_from(["w2", "w2", "hellinger", "euclidean"]),
+    allow_zero=st.booleans(),
+)
+def test_eval_exit_codes_on_any_document(
+    tmp_path_factory, doc_x, doc_y, c, p, alpha, base, allow_zero
+):
+    """``eval`` never raises and exits 0, 2 (parse) or 3 (semantic)."""
+    d = tmp_path_factory.mktemp("docs")
+    fx, fy = d / "x.json", d / "y.json"
+    fx.write_text(json.dumps(doc_x), encoding="utf-8")
+    fy.write_text(json.dumps(doc_y), encoding="utf-8")
+    argv = ["eval", str(fx), str(fy), f"--c={c!r}", f"--p={p!r}", f"--alpha={alpha!r}"]
+    argv += [f"--base={base}"] + (["--allow-zero-r"] if allow_zero else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(argv)
+    assert code in (0, 2, 3)

@@ -218,6 +218,25 @@ class TestGospa:
             fy = dirac_mb(*Y) if ny else MBDensity()
             assert abs(gospa(X, Y, params).total - pgospa(fx, fy, params).total) <= 1e-12
 
+    def test_equals_pgospa_on_lifted_mbs_exactly(self, rng):
+        for k in range(120):
+            dim = int(rng.integers(1, 4))
+            hi = 64 if k % 10 == 0 else 8
+            nx, ny = int(rng.integers(0, hi + 1)), int(rng.integers(0, hi + 1))
+            # a coarse grid makes exact distance ties common
+            X = rng.integers(-4, 5, size=(nx, dim)).astype(float)
+            Y = rng.uniform(-4, 4, size=(ny, dim)).round(int(rng.integers(0, 3)))
+            params = make_params(rng, alpha=2.0 if k % 2 else None)
+            fx = dirac_mb(*X) if nx else MBDensity()
+            fy = dirac_mb(*Y) if ny else MBDensity()
+            got = gospa(X, Y, params)
+            want = pgospa(fx, fy, params, BaseDistanceKind.EUCLIDEAN)
+            assert got.total == want.total
+            assert got.matched_pairs == want.matched_pairs
+            terms = ("localization", "existence_mismatch", "missed", "false_det")
+            for term in terms:
+                assert getattr(got, term) == getattr(want, term)
+
     def test_decomposition_identity(self, rng):
         for _ in range(200):
             dim = int(rng.integers(1, 3))
