@@ -17,6 +17,16 @@ dimensions typical of tracking problems.  Scalar entry points order their
 arguments canonically before computing, so ``d(a, b)`` and ``d(b, a)``
 return bit-identical values, and exact equality of the operands returns
 exactly 0.0.
+
+The metric only uses ``min(d, c)``, so ``pairwise_base_distance`` takes an
+optional cut-off ``c`` and then returns the clipped matrix.  For W2 in two
+or more dimensions it is gated: W2^2 is ||mx - my||^2 plus the Bures term,
+which is non-negative, so a pair whose mean gap alone reaches c (with a
+slack for rounding, see ``W2_GATE_SLACK``) saturates, and its eigen-solve
+is skipped.  The remaining pairs are computed exactly as without ``c``,
+so the clipped matrix is bit-identical to ``np.minimum(D, c)`` of the full
+one.  Overflow of a mean gap gives an infinite, hence saturated, distance
+without a warning.
 """
 
 from __future__ import annotations
@@ -45,6 +55,14 @@ __all__ = [
 
 PSD_SQRT_TOL = 1e-9
 HELLINGER_MIN_EIG = 1e-12
+# Relative slack of the W2 cut-off gate: a pair is computed only if
+# ||mx - my||^2 < c^2 (1 + slack) + slack (tr Px + tr Py).  The Bures term
+# is >= 0 in exact arithmetic; the slack covers its rounding and that of
+# c^2, so every pruned pair's computed distance is >= c.  The Bures term's
+# rounding scales with the traces: square roots of eigenvalues near zero
+# lift it to about sqrt(eps) (tr Px + tr Py), and it stays below 3e-8 of
+# the traces on random ill-conditioned and singular pairs up to 8-D.
+W2_GATE_SLACK = 1e-6
 
 
 class BaseDistanceKind(str, Enum):
@@ -90,7 +108,8 @@ def _check_hellinger_operands(densities) -> None:
 
 def euclidean_matrix(ax, ay) -> np.ndarray:
     """Euclidean distances between the rows of (m, D) and (n, D) arrays."""
-    return np.sqrt(((ax[:, None, :] - ay[None, :, :]) ** 2).sum(-1))
+    with np.errstate(over="ignore"):
+        return np.sqrt(((ax[:, None, :] - ay[None, :, :]) ** 2).sum(-1))
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
@@ -105,6 +124,17 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     return (v * s[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
+def _bures_cross(Px, sy) -> np.ndarray:
+    """tr (sy Px sy)^{1/2} for broadcast stacks, with ``sy`` = Py^{1/2}."""
+    lam = np.linalg.eigvalsh(sy @ Px @ sy)
+    scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
+    if lam.size and float(lam.min()) < -PSD_SQRT_TOL * scale:
+        raise ValueError(
+            f"matrix square root failed: eigenvalue {lam.min():.3g} below tolerance"
+        )
+    return np.sqrt(np.clip(lam, 0.0, None)).sum(-1)
+
+
 def w2_stack(mx, Px, my, Py) -> np.ndarray:
     """Elementwise 2-Wasserstein distances for broadcast Gaussian stacks.
 
@@ -114,7 +144,8 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
     my = np.asarray(my, dtype=float)
     Px = np.asarray(Px, dtype=float)
     Py = np.asarray(Py, dtype=float)
-    dm2 = ((mx - my) ** 2).sum(-1)
+    with np.errstate(over="ignore"):
+        dm2 = ((mx - my) ** 2).sum(-1)
     dim = mx.shape[-1]
     if dim == 1:
         # 1-D shortcut: the cross term collapses to (sqrt(Px) - sqrt(Py))^2
@@ -122,19 +153,10 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
         sy = np.sqrt(np.clip(Py[..., 0, 0], 0.0, None))
         tt = (sx - sy) ** 2
     else:
-        sy = _psd_sqrt(Py)
-        inner = sy @ Px @ sy
-        lam = np.linalg.eigvalsh(inner)
-        scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
-        if lam.size and float(lam.min()) < -PSD_SQRT_TOL * scale:
-            raise ValueError(
-                f"matrix square root failed: eigenvalue {lam.min():.3g} below tolerance"
-            )
-        cross = np.sqrt(np.clip(lam, 0.0, None)).sum(-1)
         tt = (
             np.trace(Px, axis1=-2, axis2=-1)
             + np.trace(Py, axis1=-2, axis2=-1)
-            - 2.0 * cross
+            - 2.0 * _bures_cross(Px, _psd_sqrt(Py))
         )
     return np.sqrt(np.maximum(dm2 + tt, 0.0))
 
@@ -148,7 +170,8 @@ def _hellinger_stack(mx, Px, my, Py) -> np.ndarray:
     _, ldx = np.linalg.slogdet(Px)
     _, ldy = np.linalg.slogdet(Py)
     _, ldm = np.linalg.slogdet(M)
-    dm = mx - my
+    with np.errstate(over="ignore"):
+        dm = mx - my
     shape = np.broadcast_shapes(M.shape[:-2], dm.shape[:-1])
     Mb = np.broadcast_to(M, shape + M.shape[-2:])
     dmb = np.broadcast_to(dm, shape + dm.shape[-1:])
@@ -186,8 +209,9 @@ def euclidean_dirac(px, py) -> float:
     if not isinstance(px, DiracDensity) or not isinstance(py, DiracDensity):
         raise ValueError("euclidean base distance requires Dirac densities")
     _check_dims(px, py)
-    diff = px.location - py.location
-    return float(np.sqrt((diff * diff).sum()))
+    with np.errstate(over="ignore"):
+        diff = px.location - py.location
+        return float(np.sqrt((diff * diff).sum()))
 
 
 def cutoff(d, c):
@@ -204,13 +228,34 @@ def base_distance(px, py, kind: BaseDistanceKind = BaseDistanceKind.W2) -> float
     return euclidean_dirac(px, py)
 
 
+def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
+    """W2 matrix between (m, D) and (n, D) stacks.  With a cut-off ``c``,
+    pairs whose mean gap proves d >= c are set to ``c``; every other entry
+    is computed by the same operations as in the full matrix."""
+    if c is None or mx.shape[1] == 1:  # 1-D has no eigen-solve to skip
+        return w2_stack(
+            mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
+        )
+    with np.errstate(over="ignore"):
+        dm2 = ((mx[:, None, :] - my[None, :, :]) ** 2).sum(-1)
+        tr = np.trace(Px, axis1=1, axis2=2)[:, None] + np.trace(Py, axis1=1, axis2=2)
+        i, j = np.nonzero(dm2 < c * c * (1.0 + W2_GATE_SLACK) + W2_GATE_SLACK * tr)
+    out = np.full(dm2.shape, float(c))
+    if len(i):
+        tt = tr[i, j] - 2.0 * _bures_cross(Px[i], _psd_sqrt(Py)[j])
+        out[i, j] = np.sqrt(np.maximum(dm2[i, j] + tt, 0.0))
+    return out
+
+
 def pairwise_base_distance(
-    xs, ys, kind: BaseDistanceKind = BaseDistanceKind.W2
+    xs, ys, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None
 ) -> np.ndarray:
     """Distance matrix between two sequences of single-object densities.
 
     Returns an (len(xs), len(ys)) array.  Pairs whose operands are exactly
-    equal evaluate to exactly 0.0.
+    equal evaluate to exactly 0.0.  With a cut-off ``c`` the result is
+    ``np.minimum(D, c)`` of the full matrix ``D``, bit for bit; W2 pairs
+    whose mean gap alone proves saturation are then not computed.
     """
     kind = BaseDistanceKind(kind)
     xs = list(xs)
@@ -224,11 +269,10 @@ def pairwise_base_distance(
     if kind is BaseDistanceKind.EUCLIDEAN:
         if not all(isinstance(d, DiracDensity) for d in xs + ys):
             raise ValueError("euclidean base distance requires Dirac densities")
-        return euclidean_matrix(
+        out = euclidean_matrix(
             np.stack([d.location for d in xs]), np.stack([d.location for d in ys])
         )
-
-    if kind is BaseDistanceKind.HELLINGER:
+    elif kind is BaseDistanceKind.HELLINGER:
         _check_hellinger_operands(xs + ys)
         mx = np.stack([d.mean for d in xs])
         my = np.stack([d.mean for d in ys])
@@ -242,9 +286,7 @@ def pairwise_base_distance(
         my = np.stack([_mean_of(d) for d in ys])
         Px = np.stack([_cov_of(d) for d in xs])
         Py = np.stack([_cov_of(d) for d in ys])
-        out = w2_stack(
-            mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
-        )
+        out = _w2_matrix(mx, Px, my, Py, c)
 
     if any(isinstance(d, GaussianDensity) for d in xs + ys):
         rows_of = {}
@@ -253,4 +295,4 @@ def pairwise_base_distance(
         for j, d in enumerate(ys):
             for i in rows_of.get(d.key(), ()):
                 out[i, j] = 0.0
-    return out
+    return out if c is None else np.minimum(out, c)

@@ -121,7 +121,12 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs):
     for i, j in pairs:
         work = reduced.copy()
         work[i, j] = forbid_bound
-        rid, cid = linear_sum_assignment(work)
+        try:
+            rid, cid = linear_sum_assignment(work)
+        except ValueError:
+            # Infeasible: every matching uses (i, j).  This happens when the
+            # bound overflows to inf, which scipy treats as a forbidden entry.
+            continue
         alt = sorted(zip(rid.tolist(), cid.tolist()))
         if (i, j) in alt:
             continue
@@ -225,7 +230,7 @@ def pgospa(
         )
     swapped = len(fx) > len(fy)
     a, b = (fy, fx) if swapped else (fx, fy)
-    D = pairwise_base_distance(a.densities, b.densities, base)
+    D = pairwise_base_distance(a.densities, b.densities, base, c=params.c)
     return _core(
         a.existence, b.existence, D, params, base.value, swapped, detect_near_ties
     )

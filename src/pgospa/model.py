@@ -83,22 +83,34 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, what: str) -> float:
-    """``value`` as a float; booleans, non-numbers and numbers beyond the
-    double range are schema errors."""
-    if not isinstance(value, bool):
+    """``value`` as a float; booleans, strings, other non-numbers and
+    numbers beyond the double range are schema errors."""
+    if _is_number(value):
         try:
             return float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise SchemaError(f"{what} is not a number")
 
 
 def _float_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array; strings, booleans and other non-numbers
+    are schema errors.  Integers beyond 64 bits make an object array, which
+    is admitted when every entry is a number within the double range."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(_is_number(v) for v in arr.flat):
+            return np.asarray(value, dtype=float)
+        if arr.dtype.kind in "iuf":
+            return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{what} is not an array of numbers")
+        pass
+    raise SchemaError(f"{what} is not an array of numbers")
 
 
 def _state_vector(value, what: str) -> np.ndarray:
@@ -431,10 +443,7 @@ def points_from_dict(data) -> np.ndarray:
         raise SchemaError("'points' must be a list of vectors")
     if not raw:
         return np.zeros((0, 0))
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError("'points' must be a list of equal-length vectors")
+    arr = _float_array(raw, "'points'")
     if arr.ndim != 2:
         raise SchemaError("'points' must be a list of equal-length vectors")
     if not np.all(np.isfinite(arr)):

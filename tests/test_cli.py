@@ -309,6 +309,55 @@ class TestParseErrorsExit2:
         fy = write(tmp_path / "y.json", {"points": [[0.0]]})
         assert run(capsys, "eval", fx, fy)[0] == 2
 
+    def test_string_r(self, tmp_path, capsys):
+        code, _, err = self._eval_component(tmp_path, capsys, dirac("0.5", 0.0))
+        assert code == 2
+        assert "existence probability" in err
+
+    def test_string_and_boolean_location(self, tmp_path, capsys):
+        code, _, err = self._eval_component(tmp_path, capsys, dirac(0.5, "1", True))
+        assert code == 2
+        assert "location" in err
+
+    def test_boolean_location(self, tmp_path, capsys):
+        assert self._eval_component(tmp_path, capsys, dirac(0.5, True))[0] == 2
+
+    def test_string_cov_entry(self, tmp_path, capsys):
+        code, _, err = self._eval_component(tmp_path, capsys, gauss(0.5, [0.0], [["1"]]))
+        assert code == 2
+        assert "covariance" in err
+
+    def test_string_points(self, tmp_path, capsys):
+        fx = write(tmp_path / "x.json", {"points": [["1", 2.0]]})
+        fy = write(tmp_path / "y.json", {"points": [[0.0, 0.0]]})
+        assert run(capsys, "eval", fx, fy)[0] == 2
+
+    def test_string_weight_number(self, tmp_path, capsys):
+        assert self._eval_weight(tmp_path, capsys, "0.5")[0] == 2
+
+
+def test_huge_cutoff_near_tie_check_exits_0(tmp_path, capsys):
+    # The near-tie re-solve's forbidden entry overflows to inf here.
+    fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))
+    fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 1.0)))
+    code, out, _ = run(
+        capsys, "eval", fx, fy, "--c", "1.3e154", "--p", "2", "--alpha", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["total"] == 1.0
+
+
+def test_overflowing_mean_gap_saturates_silently(tmp_path, capsys):
+    fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 1e308)))
+    fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, -1e308)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "eval", fx, fy)
+    assert code == 0
+    assert json.loads(out)["total"] == 10.0
+    assert err == ""
+    assert caught == []
+
 
 def test_overflowing_cutoff_power_exits_3(tmp_path, capsys):
     f = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))

@@ -221,6 +221,38 @@ class TestPairwise:
     def test_empty_sides(self):
         assert pairwise_base_distance([], [DiracDensity([0.0])]).shape == (0, 1)
 
+    def test_cutoff_gate_equals_clipped_full_matrix(self, rng):
+        def density(mean):
+            if rng.random() < 0.3:
+                return DiracDensity(mean)
+            A = rng.normal(0.0, 1.0, size=(len(mean), len(mean)))
+            S = A @ A.T + 0.05 * np.eye(len(mean))
+            return GaussianDensity(mean, float(rng.choice([1e-3, 1.0, 1e12])) * (S + S.T) / 2)
+
+        for _ in range(100):
+            dim = int(rng.integers(1, 5))
+            c = float(rng.choice([0.3, 2.0, 7.5, 1e3]))
+            spread = float(rng.choice([10.0, 1e4]))
+            xs = [density(rng.uniform(-spread, spread, dim)) for _ in range(6)]
+            ys = [density(rng.uniform(-spread, spread, dim)) for _ in range(5)]
+            for x in xs[:4]:
+                # same covariance, means c or just beyond c apart along one
+                # axis: the Bures term is 0 up to its rounding
+                gap = c * float(rng.choice([1.0, 1.0 + 3e-6]))
+                if isinstance(x, GaussianDensity):
+                    mean = x.mean.copy()
+                    mean[int(rng.integers(dim))] += gap
+                    ys.append(GaussianDensity(mean, x.cov))
+                else:
+                    mean = x.location.copy()
+                    mean[int(rng.integers(dim))] += gap
+                    ys.append(DiracDensity(mean))
+            ys.append(xs[0])
+            full = pairwise_base_distance(xs, ys)
+            gated = pairwise_base_distance(xs, ys, c=c)
+            assert np.array_equal(gated, np.minimum(full, c))
+            assert np.array_equal(gated < c, full < c)
+
 
 def test_base_distance_kind_parsing():
     assert BaseDistanceKind.from_string("w2") is BaseDistanceKind.W2

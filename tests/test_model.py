@@ -49,6 +49,13 @@ def test_existence_probability_out_of_range():
         mb_from_dict(mb_doc([gauss(-0.1, [0.0], [[1.0]])]))
 
 
+def test_integer_entries_beyond_64_bits_are_numbers():
+    mb = mb_from_dict(mb_doc([gauss(1, [10**20, 0], [[10**30, 0], [0, 1]])]))
+    assert mb.components[0].r == 1.0
+    assert mb.components[0].density.mean.tolist() == [1e20, 0.0]
+    assert mb.components[0].density.cov[0, 0] == 1e30
+
+
 def test_zero_existence_needs_relaxation_flag():
     doc = mb_doc([gauss(0.0, [0.0], [[1.0]])])
     with pytest.raises(SchemaError):
