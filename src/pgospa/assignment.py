@@ -4,11 +4,12 @@
 cost matrix one-to-one into the larger side at globally minimal total
 cost.  The optimum is found with scipy's shortest-augmenting-path solver;
 a complementary-slackness refinement then selects the lexicographically
-smallest optimal pair list, so results are reproducible when several
-matchings tie.  The refinement is exact for matrices up to
-``LEX_REFINE_MAX`` on a side; beyond that the solver's (deterministic)
-matching is returned directly, since exact ties are a measure-zero event
-for real-valued costs at that scale.
+smallest optimal pair list in one walk over the graph of tight edges, so
+results are reproducible when several matchings tie.  The refinement runs
+for matrices up to ``LEX_REFINE_MAX`` on a side; beyond that the solver's
+(deterministic) matching is returned directly, since exact ties are a
+measure-zero event for real-valued costs at that scale.  A 1 x 1 matrix
+has one matching and is not refined.
 
 ``enumerate_assignment`` is an independent brute-force oracle over all
 injections, limited to max(m, n) <= 8, applying the same tie-break rule.
@@ -66,7 +67,7 @@ def solve_assignment(costs) -> Assignment:
         return Assignment((), 0.0)
     rid, cid = linear_sum_assignment(C)
     pairs = sorted(zip(rid.tolist(), cid.tolist()))
-    if max(m, n) <= LEX_REFINE_MAX:
+    if 1 < max(m, n) <= LEX_REFINE_MAX:
         pairs = _lex_refine(C, pairs)
     return Assignment(tuple(pairs), _pairs_total(C, pairs))
 
@@ -121,9 +122,14 @@ def _perm_array(n: int, k: int) -> np.ndarray:
 # relaxation of the complementary-slackness constraints.  The optimal
 # matchings are then exactly the matchings that use only tight edges
 # (zero reduced cost) and saturate every strictly-negative potential on
-# the slack side.  A sequential fixing pass over the rows, with bipartite
-# feasibility checks on the tight graph, selects the lexicographically
-# smallest such matching.
+# the slack side (Kuhn, "The Hungarian method for the assignment problem",
+# 1955).  Padding the smaller side with dummies that may take exactly the
+# indices an optimum may leave unmatched turns these into the perfect
+# matchings of a square graph.  Dummies sort after real indices, so the
+# lexicographically smallest perfect matching there, restricted to real
+# pairs, is the lexicographically smallest optimal pair list: each row in
+# turn takes the smallest column it can reach by an alternating cycle
+# through the rows after it.
 
 
 def _duals_rows_complete(C: np.ndarray, sigma: np.ndarray):
@@ -141,101 +147,68 @@ def _duals_rows_complete(C: np.ndarray, sigma: np.ndarray):
     return u, v
 
 
-def _saturates_rows(adj: np.ndarray) -> bool:
-    """True if a matching saturating every row of the boolean adjacency
-    matrix exists (Kuhn's augmenting paths)."""
-    a, b = adj.shape
-    if a == 0:
-        return True
-    if a > b or not adj.any(axis=1).all():
-        return False
-    match_col = np.full(b, -1, dtype=int)
-
-    def try_row(r: int, seen: np.ndarray) -> bool:
-        for j in np.flatnonzero(adj[r] & ~seen):
-            seen[j] = True
-            if match_col[j] < 0 or try_row(match_col[j], seen):
-                match_col[j] = r
-                return True
-        return False
-
-    for r in range(a):
-        if not try_row(r, np.zeros(b, dtype=bool)):
-            return False
-    return True
-
-
-def _completable(tight, rows_left, cols_left, req_rows, req_cols, rows_complete):
-    ri = np.flatnonzero(rows_left)
-    ci = np.flatnonzero(cols_left)
-    sub = tight[np.ix_(ri, ci)]
-    if rows_complete:
-        if not _saturates_rows(sub):
-            return False
-        req = req_cols[ci]
-        return _saturates_rows(sub[:, req].T)
-    if not _saturates_rows(sub.T):
-        return False
-    req = req_rows[ri]
-    return _saturates_rows(sub[req, :])
-
-
 def _lex_refine(C: np.ndarray, base_pairs: list) -> list:
+    """Lexicographically smallest optimal pair list, from the optimal
+    ``base_pairs`` (or ``base_pairs`` when the tie graph is inconsistent)."""
     m, n = C.shape
     k = min(m, n)
-    rows_complete = m <= n
-    if rows_complete:
-        sigma = np.array([j for _, j in base_pairs])
-        u, v = _duals_rows_complete(C, sigma)
+    rows, cols = np.array(base_pairs, dtype=np.intp).T
+    if m <= n:
+        u, v = _duals_rows_complete(C, cols)
     else:
-        by_col = sorted((j, i) for i, j in base_pairs)
-        sigma_t = np.array([i for _, i in by_col])
         # duals on the transpose: first component runs over original columns
-        v_cols, u_rows = _duals_rows_complete(C.T, sigma_t)
-        u, v = u_rows, v_cols
+        v, u = _duals_rows_complete(C.T, rows[np.argsort(cols)])
 
     scale = max(1.0, float(np.abs(C).max()))
     tol = _TIE_REL_TOL * scale
     tight = (C - u[:, None] - v[None, :]) <= tol
-    for i, j in base_pairs:
-        tight[i, j] = True
-
-    if rows_complete:
-        if (tight.sum(axis=1) == 1).all():
-            return list(base_pairs)
-        req_rows = np.ones(m, dtype=bool)
-        req_cols = v < -tol
-    else:
-        if (tight.sum(axis=0) == 1).all():
-            return list(base_pairs)
-        req_rows = u < -tol
-        req_cols = np.ones(n, dtype=bool)
-
-    rows_left = np.ones(m, dtype=bool)
-    cols_left = np.ones(n, dtype=bool)
-    chosen = []
-    for r in range(m):
-        rows_left[r] = False
-        if len(chosen) == k:
-            if req_rows[r] and not rows_complete:
-                return list(base_pairs)
-            continue
-        pick = -1
-        for j in np.flatnonzero(tight[r] & cols_left):
-            cols_left[j] = False
-            if _completable(tight, rows_left, cols_left, req_rows, req_cols, rows_complete):
-                pick = int(j)
-                break
-            cols_left[j] = True
-        if pick >= 0:
-            chosen.append((r, pick))
-        else:
-            if rows_complete or req_rows[r]:
-                return list(base_pairs)
-            if not _completable(tight, rows_left, cols_left, req_rows, req_cols, rows_complete):
-                return list(base_pairs)
-    if len(chosen) != k:
+    tight[rows, cols] = True
+    if tight.sum() == k:  # only the base edges are tight: a unique optimum
         return list(base_pairs)
+
+    # Square graph: dummy rows m.. (when m < n) may take the columns with
+    # v >= -tol, dummy columns n.. (when m > n) the rows with u >= -tol.
+    N = max(m, n)
+    adj = np.zeros((N, N), dtype=bool)
+    adj[:m, :n] = tight
+    adj[m:, :n] = v >= -tol
+    adj[:m, n:] = (u >= -tol)[:, None]
+    match = np.empty(N, dtype=np.intp)
+    match[rows] = cols
+    free_rows = np.setdiff1d(np.arange(N), rows)
+    free_cols = np.setdiff1d(np.arange(N), cols)
+    if not adj[free_rows, free_cols].all():
+        return list(base_pairs)
+    match[free_rows] = free_cols
+    owner = np.empty(N, dtype=np.intp)
+    owner[match] = np.arange(N)
+
+    for r in range(m):
+        t = match[r]
+        if not adj[r, :t].any():
+            continue
+        # Breadth-first search back from t over the columns of later rows:
+        # nxt[j] is the column the owner of j moves to on a path freeing t.
+        nxt = np.full(N, -1, dtype=np.intp)
+        nxt[t] = t
+        later = owner > r
+        frontier = np.array([t])
+        while frontier.size:
+            cand = np.flatnonzero(later & (nxt < 0))
+            hits = adj[owner[cand]][:, frontier]
+            got = hits.any(axis=1)
+            nxt[cand[got]] = frontier[hits[got].argmax(axis=1)]
+            frontier = cand[got]
+        j = int(np.flatnonzero(adj[r] & (nxt >= 0))[0])
+        # rotate: r takes j, the owner of each path column takes the next
+        row = r
+        while j != t:
+            prev = owner[j]
+            match[row], owner[j] = j, row
+            row, j = prev, nxt[j]
+        match[row], owner[t] = t, row
+
+    chosen = [(r, int(match[r])) for r in range(m) if match[r] < n]
     # keep the refinement only if it is still optimal within tie tolerance
     if abs(_pairs_total(C, chosen) - _pairs_total(C, base_pairs)) > tol * max(1, k) * 4:
         return list(base_pairs)

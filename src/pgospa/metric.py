@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .assignment import solve_assignment
+from .assignment import LEX_REFINE_MAX, solve_assignment
 from .distances import (
     BaseDistanceKind,
     base_distance,
@@ -55,7 +55,6 @@ from .model import (
 __all__ = ["PGospaResult", "bernoulli_pgospa", "pgospa", "gospa", "mbm_pgospa"]
 
 NEAR_TIE_ABS_TOL = 1e-9
-NEAR_TIE_MAX_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ def _core(rx, ry, D, params, base, swapped, detect_near_ties) -> PGospaResult:
             gcols = {j for _, j in gamma}
             missed_a = float(sum(rx[i] * cpa for i in range(nx) if i not in grows))
             false_b = float(sum(ry[j] * cpa for j in range(ny) if j not in gcols))
-        if detect_near_ties and max(nx, ny) <= NEAR_TIE_MAX_SIZE:
+        if detect_near_ties and max(nx, ny) <= LEX_REFINE_MAX:
             second = _second_best_total_p(reduced, pair_cost, ry, cpa, pairs)
             if np.isfinite(second):
                 gap = second ** (1.0 / p) - total_p ** (1.0 / p)

@@ -30,6 +30,7 @@ fixed point of load/serialize round trips.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass
@@ -106,11 +107,21 @@ def _float_array(value, what: str) -> np.ndarray:
         arr = np.asarray(value)
         if arr.dtype.kind == "O" and all(_is_number(v) for v in arr.flat):
             return np.asarray(value, dtype=float)
-        if arr.dtype.kind in "iuf":
+        if arr.dtype.kind in "iuf" and not _holds_bool(value, arr.ndim):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
     raise SchemaError(f"{what} is not an array of numbers")
+
+
+def _holds_bool(value, depth: int) -> bool:
+    """True if a boolean is among the entries of the ``depth``-deep nested
+    sequence ``value``: numpy reads ``[1.0, True]`` as a float array."""
+    if depth == 0 or isinstance(value, np.ndarray):
+        return False
+    for _ in range(depth - 1):
+        value = itertools.chain.from_iterable(value)
+    return bool in map(type, value)
 
 
 def _state_vector(value, what: str) -> np.ndarray:

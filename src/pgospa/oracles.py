@@ -54,12 +54,6 @@ GRID_MAX_RESOLUTION_2D = 48
 GRID_HALF_WIDTH_SIGMAS = 6.0
 
 
-@lru_cache(maxsize=None)
-def _perms(n: int) -> np.ndarray:
-    perms = list(itertools.permutations(range(n)))
-    return np.array(perms, dtype=np.intp).reshape(len(perms), n)
-
-
 def brute_force_pgospa(
     fx: MBDensity,
     fy: MBDensity,
@@ -85,7 +79,7 @@ def brute_force_pgospa(
     pair_cost = np.minimum(rx[:, None], ry[None, :]) * Dc**p + np.abs(
         rx[:, None] - ry[None, :]
     ) * cpa
-    P = _perms(ny)
+    P = _k_perms(ny, ny)
     totals = pair_cost[np.arange(nx)[None, :], P[:, :nx]].sum(axis=1)
     if nx < ny:
         totals = totals + (ry[P[:, nx:]] * cpa).sum(axis=1)

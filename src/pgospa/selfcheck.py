@@ -27,7 +27,7 @@ from .oracles import (
     qospa_base,
 )
 
-__all__ = ["run_selfcheck", "faulty_solver", "random_mb"]
+__all__ = ["run_selfcheck", "faulty_solver", "random_gaussian", "random_mb", "random_params"]
 
 
 def random_gaussian(rng: np.random.Generator, dim: int) -> GaussianDensity:
@@ -43,8 +43,8 @@ def random_density(rng: np.random.Generator, dim: int):
     return random_gaussian(rng, dim)
 
 
-def random_mb(rng: np.random.Generator, max_n: int, dim: int) -> MBDensity:
-    n = int(rng.integers(0, max_n + 1))
+def random_mb(rng: np.random.Generator, max_n: int, dim: int, min_n: int = 0) -> MBDensity:
+    n = int(rng.integers(min_n, max_n + 1))
     return MBDensity(
         [
             BernoulliComponent(float(rng.uniform(0.05, 1.0)), random_density(rng, dim))
@@ -53,11 +53,12 @@ def random_mb(rng: np.random.Generator, max_n: int, dim: int) -> MBDensity:
     )
 
 
-def random_params(rng: np.random.Generator) -> MetricParams:
+def random_params(rng: np.random.Generator, alpha: float | None = None) -> MetricParams:
+    """Random c and p, and a random alpha unless one is given."""
     return MetricParams(
         c=float(rng.uniform(0.5, 10.0)),
         p=float(rng.choice([1.0, 2.0])),
-        alpha=float(rng.uniform(0.05, 2.0)),
+        alpha=float(rng.uniform(0.05, 2.0)) if alpha is None else alpha,
     )
 
 
@@ -108,9 +109,7 @@ def _check_axioms(rng, n_samples, violations):
 def _check_oracle_agreement(rng, n_samples, violations):
     for _ in range(n_samples):
         dim = int(rng.integers(1, 3))
-        params = MetricParams(
-            c=float(rng.uniform(0.5, 10.0)), p=float(rng.choice([1.0, 2.0])), alpha=2.0
-        )
+        params = random_params(rng, alpha=2.0)
         fx = random_mb(rng, 4, dim)
         fy = random_mb(rng, 4, dim)
         res = pgospa(fx, fy, params)

@@ -1,50 +1,13 @@
 import numpy as np
 import pytest
 
-from pgospa import (
-    BernoulliComponent,
-    DiracDensity,
-    GaussianDensity,
-    MBDensity,
-    MetricParams,
+from pgospa.selfcheck import (
+    random_gaussian as make_gaussian,
+    random_mb as make_mb,
+    random_params as make_params,
 )
 
-
-def make_gaussian(rng, dim, near_singular=False):
-    mean = rng.uniform(-10.0, 10.0, size=dim)
-    A = rng.normal(0.0, 1.0, size=(dim, dim))
-    cov = A @ A.T
-    if near_singular:
-        w, v = np.linalg.eigh(cov)
-        w[0] = 0.0
-        cov = (v * w) @ v.T
-    else:
-        cov = cov + 0.05 * np.eye(dim)
-    return GaussianDensity(mean, cov)
-
-
-def make_density(rng, dim):
-    if rng.random() < 0.3:
-        return DiracDensity(rng.uniform(-10.0, 10.0, size=dim))
-    return make_gaussian(rng, dim)
-
-
-def make_mb(rng, max_n, dim, min_n=0):
-    n = int(rng.integers(min_n, max_n + 1))
-    return MBDensity(
-        [
-            BernoulliComponent(float(rng.uniform(0.05, 1.0)), make_density(rng, dim))
-            for _ in range(n)
-        ]
-    )
-
-
-def make_params(rng, alpha=None, p=None):
-    return MetricParams(
-        c=float(rng.uniform(0.5, 10.0)),
-        p=float(rng.choice([1.0, 2.0])) if p is None else p,
-        alpha=float(rng.uniform(0.05, 2.0)) if alpha is None else alpha,
-    )
+__all__ = ["make_gaussian", "make_mb", "make_params"]
 
 
 @pytest.fixture

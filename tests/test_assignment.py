@@ -88,6 +88,52 @@ class TestOracleAgreement:
         assert got.pairs == want.pairs
 
 
+class TestTieRuleBeyondEnumeration:
+    @staticmethod
+    def _block_diagonal(rng, wide):
+        """9-64 per side: blocks of at most 6 x 6 with costs 0-2 (or all
+        zero), off-block entries 100; every block has at most as many rows
+        as columns if ``wide``, at least as many otherwise."""
+        while True:
+            blocks, m, n = [], 0, 0
+            target = int(rng.integers(9, 65))
+            while max(m, n) < target:
+                a, b = sorted(int(x) for x in rng.integers(1, 7, size=2))
+                if not wide:
+                    a, b = b, a
+                if max(m + a, n + b) > 64:
+                    break
+                if rng.random() < 0.3:
+                    block = np.zeros((a, b))
+                else:
+                    block = rng.integers(0, 3, size=(a, b)).astype(float)
+                blocks.append((m, n, block))
+                m, n = m + a, n + b
+            if min(m, n) >= 9:
+                break
+        C = np.full((m, n), 100.0)
+        for i0, j0, block in blocks:
+            C[i0 : i0 + block.shape[0], j0 : j0 + block.shape[1]] = block
+        return C, blocks
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_block_diagonal_ties_match_per_block_enumeration(self, wide):
+        # every optimum stays inside the blocks, so the lexicographically
+        # smallest one is the blockwise smallest ones concatenated
+        rng = np.random.default_rng(303 + wide)
+        for _ in range(40):
+            C, blocks = self._block_diagonal(rng, wide)
+            want = []
+            total = 0.0
+            for i0, j0, block in blocks:
+                sub = enumerate_assignment(block)
+                want += [(i0 + i, j0 + j) for i, j in sub.pairs]
+                total += sub.total_cost
+            got = solve_assignment(C)
+            assert got.pairs == tuple(want)
+            assert got.total_cost == total
+
+
 class TestStructure:
     def test_row_constant_shift(self):
         # rows-complete case: every matching uses the shifted row, so the

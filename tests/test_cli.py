@@ -335,6 +335,26 @@ class TestParseErrorsExit2:
     def test_string_weight_number(self, tmp_path, capsys):
         assert self._eval_weight(tmp_path, capsys, "0.5")[0] == 2
 
+    def test_boolean_among_location_numbers(self, tmp_path, capsys):
+        fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 1.0, True)))
+        fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 1.0, 1.0)))
+        code, _, err = run(capsys, "eval", fx, fy)
+        assert code == 2
+        assert "location" in err
+
+    def test_boolean_in_cov_row(self, tmp_path, capsys):
+        cov = [[1.0, 0.0], [0.0, True]]
+        fx = write(tmp_path / "x.json", mb_doc(gauss(0.5, [0.0, 0.0], cov)))
+        fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0, 0.0)))
+        code, _, err = run(capsys, "eval", fx, fy)
+        assert code == 2
+        assert "covariance" in err
+
+    def test_boolean_among_points(self, tmp_path, capsys):
+        fx = write(tmp_path / "x.json", {"points": [[1.0, True]]})
+        fy = write(tmp_path / "y.json", {"points": [[1.0, 1.0]]})
+        assert run(capsys, "eval", fx, fy)[0] == 2
+
 
 def test_huge_cutoff_near_tie_check_exits_0(tmp_path, capsys):
     # The near-tie re-solve's forbidden entry overflows to inf here.
