@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 property violation (selfcheck), 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import sys
@@ -80,9 +81,9 @@ EXAMPLE1_SIGMA2_SWEEP = SweepSpec("sigma2", 0.0, 30.0, 0.1)
 EXAMPLE2_C_SWEEP = SweepSpec("c", 0.1, 10.0, 0.1)
 
 
-def _add_param_flags(sub, p_default=2.0):
+def _add_param_flags(sub):
     sub.add_argument("--c", type=float, default=10.0, help="cut-off distance")
-    sub.add_argument("--p", type=float, default=p_default, help="metric exponent")
+    sub.add_argument("--p", type=float, default=2.0, help="metric exponent")
     sub.add_argument("--alpha", type=float, default=2.0, help="cardinality penalty")
     sub.add_argument(
         "--base",
@@ -90,6 +91,16 @@ def _add_param_flags(sub, p_default=2.0):
         default="w2",
         help="base distance between single-object densities",
     )
+
+
+def _pair_parser(subparsers, name, func, **kwargs):
+    """Subcommand on two input files, with the metric parameter flags."""
+    sp = subparsers.add_parser(name, **kwargs)
+    sp.add_argument("file_x")
+    sp.add_argument("file_y")
+    _add_param_flags(sp)
+    sp.set_defaults(func=func)
+    return sp
 
 
 def _params(args) -> MetricParams:
@@ -262,19 +273,19 @@ def cmd_oracle_pgospa(args) -> int:
     return 0
 
 
-def _single_component(path, allow0=False) -> BernoulliComponent:
+def _single_component(path, allow0=False, dirac_for=None) -> BernoulliComponent:
+    """The one component of an MB file, a Dirac if ``dirac_for`` names a command."""
     mb = mb_from_dict(load_document(path), allow0)
     if len(mb) != 1:
         raise SchemaError(f"{path}: expected exactly one Bernoulli component")
-    return mb.components[0]
+    if dirac_for and not mb.dirac[0]:
+        raise SchemaError(f"{dirac_for} requires Dirac single-object densities")
+    return mb[0]
 
 
 def cmd_oracle_ot_dirac(args) -> int:
-    bx = _single_component(args.file_x, True)
-    by = _single_component(args.file_y, True)
-    for b in (bx, by):
-        if not isinstance(b.density, DiracDensity):
-            raise SchemaError("ot-dirac requires Dirac single-object densities")
+    bx = _single_component(args.file_x, True, "ot-dirac")
+    by = _single_component(args.file_y, True, "ot-dirac")
     value = bernoulli_ot_dirac(
         bx.r, bx.density.location, by.r, by.density.location, _params(args)
     )
@@ -298,11 +309,8 @@ def cmd_oracle_ot_grid(args) -> int:
 
 
 def cmd_oracle_qospa(args) -> int:
-    bx = _single_component(args.file_x, True)
-    by = _single_component(args.file_y, True)
-    for b in (bx, by):
-        if not isinstance(b.density, DiracDensity):
-            raise SchemaError("qospa requires Dirac single-object densities")
+    bx = _single_component(args.file_x, True, "qospa")
+    by = _single_component(args.file_y, True, "qospa")
     value = qospa_base(
         bx.density.location, by.density.location, bx.r, by.r, _params(args)
     )
@@ -310,6 +318,7 @@ def cmd_oracle_qospa(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgospa",
@@ -317,16 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser(
-        "eval",
-        aliases=["gospa"],
+    pe = _pair_parser(
+        sub, "eval", cmd_eval, aliases=["gospa"],
         help="metric between two files (MB, MBM, or points)",
     )
-    pe.add_argument("file_x")
-    pe.add_argument("file_y")
     pe.add_argument("--allow-zero-r", action="store_true", help="admit r = 0 components")
-    _add_param_flags(pe)
-    pe.set_defaults(func=cmd_eval)
 
     s1 = sub.add_parser("sweep-example1", help="metric over an (r, sigma^2) grid")
     s1.add_argument("--out", default="-")
@@ -380,31 +384,23 @@ def _build_parser() -> argparse.ArgumentParser:
     oa.add_argument("file", help="JSON with a 'costs' matrix")
     oa.set_defaults(func=cmd_oracle_assign)
 
-    op = osub.add_parser("pgospa", help="brute-force metric between two MB files")
-    op.add_argument("file_x")
-    op.add_argument("file_y")
+    op = _pair_parser(
+        osub, "pgospa", cmd_oracle_pgospa, help="brute-force metric between two MB files"
+    )
     op.add_argument("--allow-zero-r", action="store_true")
-    _add_param_flags(op)
-    op.set_defaults(func=cmd_oracle_pgospa)
-
-    od = osub.add_parser("ot-dirac", help="four-atom transport between Dirac Bernoullis")
-    od.add_argument("file_x")
-    od.add_argument("file_y")
-    _add_param_flags(od)
-    od.set_defaults(func=cmd_oracle_ot_dirac)
-
-    og = osub.add_parser("ot-grid", help="discretized transport between Gaussian Bernoullis")
-    og.add_argument("file_x")
-    og.add_argument("file_y")
+    _pair_parser(
+        osub, "ot-dirac", cmd_oracle_ot_dirac,
+        help="four-atom transport between Dirac Bernoullis",
+    )
+    og = _pair_parser(
+        osub, "ot-grid", cmd_oracle_ot_grid,
+        help="discretized transport between Gaussian Bernoullis",
+    )
     og.add_argument("--resolution", type=int, default=200)
-    _add_param_flags(og)
-    og.set_defaults(func=cmd_oracle_ot_grid)
-
-    oq = osub.add_parser("qospa", help="existence-weighted base distance (non-definite)")
-    oq.add_argument("file_x")
-    oq.add_argument("file_y")
-    _add_param_flags(oq)
-    oq.set_defaults(func=cmd_oracle_qospa)
+    _pair_parser(
+        osub, "qospa", cmd_oracle_qospa,
+        help="existence-weighted base distance (non-definite)",
+    )
 
     return parser
 
@@ -422,10 +418,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:  # DimensionMismatchError too
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

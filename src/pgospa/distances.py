@@ -11,12 +11,13 @@ Three metrics are provided, selected by :class:`BaseDistanceKind`:
   positive-definite covariances; bounded in [0, 1].
 * ``euclidean``: Euclidean distance, valid only between Dirac densities.
 
+``pairwise_base_distance`` reads the arrays of two ``MBDensity`` values
+(or of two sequences of densities); the scalar entry points are its 1 x 1
+entry with the operands in a canonical order, so ``d(a, b)`` and
+``d(b, a)`` are bit-identical.  Exactly equal operands give exactly 0.0.
 Matrix square roots use symmetric eigendecomposition with eigenvalues
 clamped at zero (tolerance 1e-9), which is robust at the small state
-dimensions typical of tracking problems.  Scalar entry points order their
-arguments canonically before computing, so ``d(a, b)`` and ``d(b, a)``
-return bit-identical values, and exact equality of the operands returns
-exactly 0.0.
+dimensions typical of tracking problems.
 
 The metric only uses ``min(d, c)``, so ``pairwise_base_distance`` takes an
 optional cut-off ``c`` and then returns the clipped matrix.  For W2 in two
@@ -25,8 +26,9 @@ which is non-negative, so a pair whose mean gap alone reaches c (with a
 slack for rounding, see ``W2_GATE_SLACK``) saturates, and its eigen-solve
 is skipped.  The remaining pairs are computed exactly as without ``c``,
 so the clipped matrix is bit-identical to ``np.minimum(D, c)`` of the full
-one.  Overflow of a mean gap gives an infinite, hence saturated, distance
-without a warning.
+one.  Where ||mx - my||^2 overflows but the coordinate differences do not,
+the distance is taken in scaled form; an overflowing coordinate difference
+gives an infinite, hence saturated, distance.  Neither prints a warning.
 """
 
 from __future__ import annotations
@@ -35,11 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (
-    DimensionMismatchError,
-    DiracDensity,
-    GaussianDensity,
-)
+from .model import BernoulliComponent, DimensionMismatchError, MBDensity
 
 __all__ = [
     "BaseDistanceKind",
@@ -79,37 +77,29 @@ class BaseDistanceKind(str, Enum):
             raise ValueError(f"unknown base distance {name!r} (expected one of {valid})")
 
 
-def _check_dims(px, py) -> None:
-    if px.dim != py.dim:
-        raise DimensionMismatchError(
-            f"densities have dimensions {px.dim} and {py.dim}"
-        )
-
-
-def _mean_of(d) -> np.ndarray:
-    return d.mean if isinstance(d, GaussianDensity) else d.location
-
-
-def _cov_of(d) -> np.ndarray:
-    if isinstance(d, GaussianDensity):
-        return d.cov
-    return np.zeros((d.dim, d.dim))
-
-
-def _check_hellinger_operands(densities) -> None:
-    for d in densities:
-        if not isinstance(d, GaussianDensity):
-            raise ValueError("Hellinger distance requires Gaussian densities")
-        if float(np.linalg.eigvalsh(d.cov).min()) <= HELLINGER_MIN_EIG:
-            raise ValueError(
-                "Hellinger distance requires strictly positive-definite covariances"
-            )
+def _root(dm2, diff, tt=None) -> np.ndarray:
+    """``sqrt(max(dm2 + tt, 0))``, ``dm2 = ||diff||^2`` over the last axis.
+    Where ``dm2`` overflowed but ``diff`` is finite it is taken in scaled
+    form, ``s sqrt(||diff / s||^2 + tt / s^2)`` with ``s = max |diff|``."""
+    out = np.sqrt(dm2 if tt is None else np.maximum(dm2 + tt, 0.0))
+    big = np.isinf(dm2)
+    if big.any():
+        big = big & np.isfinite(diff).all(-1)
+        out = np.array(out)
+        s = np.abs(diff[big]).max(-1)
+        scaled = ((diff[big] / s[:, None]) ** 2).sum(-1)
+        if tt is not None:
+            scaled = np.maximum(scaled + np.broadcast_to(tt, dm2.shape)[big] / s / s, 0.0)
+        with np.errstate(over="ignore"):
+            out[big] = s * np.sqrt(scaled)
+    return out
 
 
 def euclidean_matrix(ax, ay) -> np.ndarray:
     """Euclidean distances between the rows of (m, D) and (n, D) arrays."""
     with np.errstate(over="ignore"):
-        return np.sqrt(((ax[:, None, :] - ay[None, :, :]) ** 2).sum(-1))
+        diff = ax[:, None, :] - ay[None, :, :]
+        return _root((diff**2).sum(-1), diff)
 
 
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
@@ -140,12 +130,10 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
 
     ``mx``/``my`` broadcast over (..., D) and ``Px``/``Py`` over (..., D, D).
     """
-    mx = np.asarray(mx, dtype=float)
-    my = np.asarray(my, dtype=float)
-    Px = np.asarray(Px, dtype=float)
-    Py = np.asarray(Py, dtype=float)
+    mx, Px, my, Py = (np.asarray(a, dtype=float) for a in (mx, Px, my, Py))
     with np.errstate(over="ignore"):
-        dm2 = ((mx - my) ** 2).sum(-1)
+        diff = mx - my
+        dm2 = (diff**2).sum(-1)
     dim = mx.shape[-1]
     if dim == 1:
         # 1-D shortcut: the cross term collapses to (sqrt(Px) - sqrt(Py))^2
@@ -158,14 +146,11 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
             + np.trace(Py, axis1=-2, axis2=-1)
             - 2.0 * _bures_cross(Px, _psd_sqrt(Py))
         )
-    return np.sqrt(np.maximum(dm2 + tt, 0.0))
+    return _root(dm2, diff, tt)
 
 
 def _hellinger_stack(mx, Px, my, Py) -> np.ndarray:
-    mx = np.asarray(mx, dtype=float)
-    my = np.asarray(my, dtype=float)
-    Px = np.asarray(Px, dtype=float)
-    Py = np.asarray(Py, dtype=float)
+    mx, Px, my, Py = (np.asarray(a, dtype=float) for a in (mx, Px, my, Py))
     M = (Px + Py) / 2.0
     _, ldx = np.linalg.slogdet(Px)
     _, ldy = np.linalg.slogdet(Py)
@@ -181,51 +166,11 @@ def _hellinger_stack(mx, Px, my, Py) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - bc, 0.0, None))
 
 
-def gaussian_w2(px, py) -> float:
-    """2-Wasserstein distance; Dirac inputs are zero-covariance Gaussians."""
-    _check_dims(px, py)
-    if px.key() == py.key():
-        return 0.0
-    if py.key() < px.key():
-        px, py = py, px
-    if isinstance(px, DiracDensity) and isinstance(py, DiracDensity):
-        return euclidean_dirac(px, py)
-    return float(w2_stack(_mean_of(px), _cov_of(px), _mean_of(py), _cov_of(py)))
-
-
-def gaussian_hellinger(px, py) -> float:
-    """Hellinger distance between strictly positive-definite Gaussians."""
-    _check_dims(px, py)
-    _check_hellinger_operands((px, py))
-    if px.key() == py.key():
-        return 0.0
-    if py.key() < px.key():
-        px, py = py, px
-    return float(_hellinger_stack(px.mean, px.cov, py.mean, py.cov))
-
-
-def euclidean_dirac(px, py) -> float:
-    """Euclidean distance between two Dirac point masses."""
-    if not isinstance(px, DiracDensity) or not isinstance(py, DiracDensity):
-        raise ValueError("euclidean base distance requires Dirac densities")
-    _check_dims(px, py)
-    with np.errstate(over="ignore"):
-        diff = px.location - py.location
-        return float(np.sqrt((diff * diff).sum()))
-
-
-def cutoff(d, c):
-    """Saturate a distance at the cut-off level: min(d, c)."""
-    return np.minimum(d, c)
-
-
-def base_distance(px, py, kind: BaseDistanceKind = BaseDistanceKind.W2) -> float:
-    kind = BaseDistanceKind(kind)
-    if kind is BaseDistanceKind.W2:
-        return gaussian_w2(px, py)
-    if kind is BaseDistanceKind.HELLINGER:
-        return gaussian_hellinger(px, py)
-    return euclidean_dirac(px, py)
+def _as_mb(densities) -> MBDensity:
+    """An ``MBDensity``, or a sequence of densities as one (unit existences)."""
+    if isinstance(densities, MBDensity):
+        return densities
+    return MBDensity(BernoulliComponent(1.0, d) for d in densities)
 
 
 def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
@@ -239,18 +184,22 @@ def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
     with np.errstate(over="ignore"):
         dm2 = ((mx[:, None, :] - my[None, :, :]) ** 2).sum(-1)
         tr = np.trace(Px, axis1=1, axis2=2)[:, None] + np.trace(Py, axis1=1, axis2=2)
-        i, j = np.nonzero(dm2 < c * c * (1.0 + W2_GATE_SLACK) + W2_GATE_SLACK * tr)
+        bound = c * c * (1.0 + W2_GATE_SLACK) + W2_GATE_SLACK * tr
+        # where the bound overflows, an overflowed ||dm||^2 may lie below it
+        i, j = np.nonzero((dm2 < bound) | (np.isinf(dm2) & np.isinf(bound)))
     out = np.full(dm2.shape, float(c))
     if len(i):
         tt = tr[i, j] - 2.0 * _bures_cross(Px[i], _psd_sqrt(Py)[j])
-        out[i, j] = np.sqrt(np.maximum(dm2[i, j] + tt, 0.0))
+        with np.errstate(over="ignore"):
+            out[i, j] = _root(dm2[i, j], mx[i] - my[j], tt)
     return out
 
 
 def pairwise_base_distance(
     xs, ys, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None
 ) -> np.ndarray:
-    """Distance matrix between two sequences of single-object densities.
+    """Distance matrix between two ``MBDensity`` values, or between two
+    sequences of single-object densities.
 
     Returns an (len(xs), len(ys)) array.  Pairs whose operands are exactly
     equal evaluate to exactly 0.0.  With a cut-off ``c`` the result is
@@ -258,41 +207,66 @@ def pairwise_base_distance(
     whose mean gap alone proves saturation are then not computed.
     """
     kind = BaseDistanceKind(kind)
-    xs = list(xs)
-    ys = list(ys)
-    if not xs or not ys:
-        return np.zeros((len(xs), len(ys)))
-    dims = {d.dim for d in xs} | {d.dim for d in ys}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"densities mix state dimensions {sorted(dims)}")
+    x, y = _as_mb(xs), _as_mb(ys)
+    if not len(x) or not len(y):
+        return np.zeros((len(x), len(y)))
+    if x.dim != y.dim:
+        raise DimensionMismatchError(f"densities mix state dimensions {sorted({x.dim, y.dim})}")
+    (mx, Px, dx), (my, Py, dy) = (x.means, x.covs, x.dirac), (y.means, y.covs, y.dirac)
 
     if kind is BaseDistanceKind.EUCLIDEAN:
-        if not all(isinstance(d, DiracDensity) for d in xs + ys):
+        if not (dx.all() and dy.all()):
             raise ValueError("euclidean base distance requires Dirac densities")
-        out = euclidean_matrix(
-            np.stack([d.location for d in xs]), np.stack([d.location for d in ys])
-        )
+        out = euclidean_matrix(mx, my)
     elif kind is BaseDistanceKind.HELLINGER:
-        _check_hellinger_operands(xs + ys)
-        mx = np.stack([d.mean for d in xs])
-        my = np.stack([d.mean for d in ys])
-        Px = np.stack([d.cov for d in xs])
-        Py = np.stack([d.cov for d in ys])
+        if dx.any() or dy.any():
+            raise ValueError("Hellinger distance requires Gaussian densities")
+        if np.linalg.eigvalsh(np.concatenate([Px, Py]))[:, 0].min() <= HELLINGER_MIN_EIG:
+            raise ValueError(
+                "Hellinger distance requires strictly positive-definite covariances"
+            )
         out = _hellinger_stack(
             mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
         )
     else:
-        mx = np.stack([_mean_of(d) for d in xs])
-        my = np.stack([_mean_of(d) for d in ys])
-        Px = np.stack([_cov_of(d) for d in xs])
-        Py = np.stack([_cov_of(d) for d in ys])
         out = _w2_matrix(mx, Px, my, Py, c)
 
-    if any(isinstance(d, GaussianDensity) for d in xs + ys):
-        rows_of = {}
-        for i, d in enumerate(xs):
-            rows_of.setdefault(d.key(), []).append(i)
-        for j, d in enumerate(ys):
-            for i in rows_of.get(d.key(), ()):
-                out[i, j] = 0.0
+    if not (dx.all() and dy.all()):  # bit-for-bit equal operands give exactly 0
+        i, j = np.nonzero((mx.view(np.int64)[:, None] == my.view(np.int64)[None]).all(-1))
+        if len(i):
+            same = (dx[i] == dy[j]) & (Px[i].view(np.int64) == Py[j].view(np.int64)).all((1, 2))
+            out[i[same], j[same]] = 0.0
     return out if c is None else np.minimum(out, c)
+
+
+def base_distance(px, py, kind: BaseDistanceKind = BaseDistanceKind.W2) -> float:
+    """Distance between two single-object densities: the 1 x 1 entry of
+    ``pairwise_base_distance`` with the operands in canonical order."""
+    x, y = _as_mb([px]), _as_mb([py])
+
+    def key(mb):  # a Dirac sorts first
+        return not mb.dirac[0], mb.means.tobytes(), mb.covs.tobytes()
+
+    if key(y) < key(x):
+        x, y = y, x
+    return float(pairwise_base_distance(x, y, kind)[0, 0])
+
+
+def gaussian_w2(px, py) -> float:
+    """2-Wasserstein distance; Dirac inputs are zero-covariance Gaussians."""
+    return base_distance(px, py, BaseDistanceKind.W2)
+
+
+def gaussian_hellinger(px, py) -> float:
+    """Hellinger distance between strictly positive-definite Gaussians."""
+    return base_distance(px, py, BaseDistanceKind.HELLINGER)
+
+
+def euclidean_dirac(px, py) -> float:
+    """Euclidean distance between two Dirac point masses."""
+    return base_distance(px, py, BaseDistanceKind.EUCLIDEAN)
+
+
+def cutoff(d, c):
+    """Saturate a distance at the cut-off level: min(d, c)."""
+    return np.minimum(d, c)

@@ -24,10 +24,12 @@ pair whose cut-off distance saturates (d_ij >= c) contributes exactly the
 same cost as leaving both components unmatched, and is reported as
 unmatched.
 
-``gospa`` evaluates point sets.  Its result is by definition the metric
-above on the lifted MB densities (all existence probabilities one, Dirac
-densities at the points) with the Euclidean base distance; both entry
-points are thin adapters over one array-level core.
+``pgospa`` is the array-level core: it reads the existence vectors and the
+base-distance matrix of its two MB densities and does the assignment, the
+decomposition and the orientation swap.  ``gospa`` evaluates point sets:
+its result is by definition the metric above on the lifted MB densities
+(all existence probabilities one, Dirac densities at the points) with the
+Euclidean base distance, and it calls ``pgospa`` on exactly those.
 """
 
 from __future__ import annotations
@@ -38,15 +40,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .assignment import LEX_REFINE_MAX, solve_assignment
-from .distances import (
-    BaseDistanceKind,
-    base_distance,
-    euclidean_matrix,
-    pairwise_base_distance,
-)
+from .distances import BaseDistanceKind, base_distance, pairwise_base_distance
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
+    DiracDensity,
     MBDensity,
     MBMixture,
     MetricParams,
@@ -111,12 +109,14 @@ def bernoulli_pgospa(
     return float(value ** (1.0 / params.p))
 
 
-def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs):
-    """Best objective over matchings differing from ``pairs``, or inf."""
+def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
+    """Best objective over the matchings that differ from ``pairs`` in their
+    reported pairs (the pairs where the boolean matrix ``reported`` is
+    true), or inf."""
     n = reduced.shape[1]
     forbid_bound = 2.0 * float(np.abs(reduced).sum()) + 1.0
     best = np.inf
-    matched = set(pairs)
+    shown = {pair for pair in pairs if reported[pair]}
     for i, j in pairs:
         work = reduced.copy()
         work[i, j] = forbid_bound
@@ -132,34 +132,51 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs):
         cols = {jj for _, jj in alt}
         total_p = sum(float(pair_cost[a, b]) for a, b in alt)
         total_p += sum(float(ry[jj] * cpa) for jj in range(n) if jj not in cols)
-        if set(alt) != matched:
+        if {pair for pair in alt if reported[pair]} != shown:
             best = min(best, total_p)
     return best
 
 
-def _core(rx, ry, D, params, base, swapped, detect_near_ties) -> PGospaResult:
-    """Metric from the smaller side's existence probabilities ``rx``, the
-    larger side's ``ry`` and their base-distance matrix ``D`` (len(rx) x
-    len(ry)).  ``swapped`` tells that the smaller side is the caller's second
-    operand, so reported pairs and the missed/false terms are turned back;
-    ``base`` is the label reported with the result."""
+def pgospa(
+    fx: MBDensity,
+    fy: MBDensity,
+    params: MetricParams,
+    base: BaseDistanceKind = BaseDistanceKind.W2,
+    *,
+    detect_near_ties: bool = False,
+) -> PGospaResult:
+    """Metric between two MB densities, with optimal matching and, for
+    alpha = 2, the four-way decomposition.
+
+    ``detect_near_ties`` additionally reports whether a matching that
+    reports other pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimal
+    metric value (the reported pairs and the decomposition then depend on
+    the deterministic tie-break).
+    """
+    base = BaseDistanceKind(base)
+    if len(fx) and len(fy) and fx.dim != fy.dim:
+        raise DimensionMismatchError(
+            f"MB densities have dimensions {fx.dim} and {fy.dim}"
+        )
+    # the smaller side is x; ``swapped`` turns the pairs and terms back
+    swapped = len(fx) > len(fy)
+    a, b = (fy, fx) if swapped else (fx, fy)
+    rx, ry = a.r, b.r
     nx, ny = len(rx), len(ry)
     p, c, alpha = params.p, params.c, params.alpha
+    D = pairwise_base_distance(a, b, base, c=c)
     cpa = c**p / alpha
     with_decomposition = alpha == 2.0
 
     if ny == 0:
         zero = 0.0 if with_decomposition else None
-        return PGospaResult(0.0, (), zero, zero, zero, zero, c, p, alpha, base)
+        return PGospaResult(0.0, (), zero, zero, zero, zero, c, p, alpha, base.value)
 
     near_tie = None
     if nx == 0:
-        pairs = ()
-        total_p = float((ry * cpa).sum())
-        gamma = ()
-        loc = mism = 0.0
-        missed_a = 0.0
-        false_b = float(total_p)
+        pairs = gamma = ()
+        total_p = false = float((ry * cpa).sum())
+        loc = mism = missed = 0.0
         if detect_near_ties:
             near_tie = False
     else:
@@ -178,10 +195,12 @@ def _core(rx, ry, D, params, base, swapped, detect_near_ties) -> PGospaResult:
             mism = float(sum(mis_term[i, j] for i, j in gamma))
             grows = {i for i, _ in gamma}
             gcols = {j for _, j in gamma}
-            missed_a = float(sum(rx[i] * cpa for i in range(nx) if i not in grows))
-            false_b = float(sum(ry[j] * cpa for j in range(ny) if j not in gcols))
+            missed = float(sum(rx[i] * cpa for i in range(nx) if i not in grows))
+            false = float(sum(ry[j] * cpa for j in range(ny) if j not in gcols))
         if detect_near_ties and max(nx, ny) <= LEX_REFINE_MAX:
-            second = _second_best_total_p(reduced, pair_cost, ry, cpa, pairs)
+            # for alpha = 2 only the pairs with d < c are reported
+            reported = D < c if with_decomposition else np.ones(D.shape, bool)
+            second = _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported)
             if np.isfinite(second):
                 gap = second ** (1.0 / p) - total_p ** (1.0 / p)
                 near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
@@ -189,49 +208,14 @@ def _core(rx, ry, D, params, base, swapped, detect_near_ties) -> PGospaResult:
                 near_tie = False
 
     total = float(total_p ** (1.0 / p))
-
-    if with_decomposition:
-        report_pairs = gamma
-        missed, false = missed_a, false_b
-    else:
-        report_pairs = pairs
+    if not with_decomposition:
+        gamma = pairs
         loc = mism = missed = false = None
-
     if swapped:
-        report_pairs = tuple(sorted((j, i) for i, j in report_pairs))
-        if with_decomposition:
-            missed, false = false, missed
-
+        gamma = tuple(sorted((j, i) for i, j in gamma))
+        missed, false = false, missed
     return PGospaResult(
-        total, report_pairs, loc, mism, missed, false, c, p, alpha, base, near_tie
-    )
-
-
-def pgospa(
-    fx: MBDensity,
-    fy: MBDensity,
-    params: MetricParams,
-    base: BaseDistanceKind = BaseDistanceKind.W2,
-    *,
-    detect_near_ties: bool = False,
-) -> PGospaResult:
-    """Metric between two MB densities, with optimal matching and, for
-    alpha = 2, the four-way decomposition.
-
-    ``detect_near_ties`` additionally reports whether a different matching
-    comes within ``NEAR_TIE_ABS_TOL`` of the optimal metric value (the
-    decomposition is then sensitive to the deterministic tie-break).
-    """
-    base = BaseDistanceKind(base)
-    if fx.dim is not None and fy.dim is not None and fx.dim != fy.dim:
-        raise DimensionMismatchError(
-            f"MB densities have dimensions {fx.dim} and {fy.dim}"
-        )
-    swapped = len(fx) > len(fy)
-    a, b = (fy, fx) if swapped else (fx, fy)
-    D = pairwise_base_distance(a.densities, b.densities, base, c=params.c)
-    return _core(
-        a.existence, b.existence, D, params, base.value, swapped, detect_near_ties
+        total, gamma, loc, mism, missed, false, c, p, alpha, base.value, near_tie
     )
 
 
@@ -240,8 +224,8 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
 
     By definition this is ``pgospa`` with the Euclidean base distance on
     the lifted MB densities (unit existence probabilities, Dirac densities
-    at the points), and it runs the same computation; the
-    existence-mismatch term is identically zero.
+    at the points), which it calls; the existence-mismatch term is
+    identically zero.
     """
     X = np.asarray(x_points, dtype=float)
     Y = np.asarray(y_points, dtype=float)
@@ -257,11 +241,11 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
         raise DimensionMismatchError(
             f"point sets have dimensions {X.shape[1]} and {Y.shape[1]}"
         )
-    swapped = len(X) > len(Y)
-    A, B = (Y, X) if swapped else (X, Y)
-    D = euclidean_matrix(A, B) if len(A) else np.zeros((0, len(B)))
-    base = BaseDistanceKind.EUCLIDEAN.value
-    return _core(np.ones(len(A)), np.ones(len(B)), D, params, base, swapped, False)
+
+    def lift(points):
+        return MBDensity(BernoulliComponent(1.0, DiracDensity(x)) for x in points)
+
+    return pgospa(lift(X), lift(Y), params, BaseDistanceKind.EUCLIDEAN)
 
 
 def mbm_pgospa(

@@ -2,7 +2,11 @@
 
 An MB density is an ordered list of Bernoulli components, each pairing an
 existence probability ``r`` with a single-object density (Gaussian or a
-Dirac point mass).  An MB mixture adds normalized weights over several MB
+Dirac point mass).  ``MBDensity`` holds it as four arrays, its only state:
+``r`` (n,), ``means`` (n, D), ``covs`` (n, D, D), zero for a Dirac, and the
+Dirac mask ``dirac`` (n,); ``components``, ``densities`` and ``mb[k]`` are
+views built from them.  A document's covariances are validated in one
+batched pass.  An MB mixture adds normalized weights over several MB
 densities.  All types are immutable after construction and safe to share
 across threads; numpy arrays are stored read-only.
 
@@ -49,8 +53,6 @@ __all__ = [
     "MBMixture",
     "MetricParams",
     "append_zero_components",
-    "density_from_dict",
-    "density_to_dict",
     "mb_from_dict",
     "mb_to_dict",
     "mbm_from_dict",
@@ -133,18 +135,29 @@ def _state_vector(value, what: str) -> np.ndarray:
     return _readonly(arr)
 
 
-def _psd_normal_form(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clamp eigenvalues in [-COV_EIG_TOL, 0) to zero.
-
-    The result is a fixed point of this function, which keeps serialized
-    documents byte-stable under repeated load/validate cycles.
+def _psd_normal_form(covs: np.ndarray) -> np.ndarray:
+    """Symmetrize a covariance (D, D) or a stack (n, D, D) and clamp
+    eigenvalues in [-COV_EIG_TOL, 0) to zero, clamping only the matrices
+    that need it.  Batched LAPACK calls give the bits of per-matrix ones,
+    and the result is a fixed point of this function, which keeps
+    serialized documents byte-stable under repeated load/validate cycles.
     """
-    asym = np.abs(cov - cov.T).max() if cov.size else 0.0
-    if asym > COV_SYMMETRY_TOL:
+    asym = np.abs(covs - covs.swapaxes(-1, -2))
+    if asym.max() > COV_SYMMETRY_TOL:
+        per_matrix = asym.reshape(-1, asym.shape[-1] ** 2).max(axis=1)
+        a = per_matrix[per_matrix > COV_SYMMETRY_TOL][0]
         raise SchemaError(
-            f"covariance is not symmetric (max asymmetry {asym:.3g} > {COV_SYMMETRY_TOL:g})"
+            f"covariance is not symmetric (max asymmetry {a:.3g} > {COV_SYMMETRY_TOL:g})"
         )
-    cov = (cov + cov.T) / 2.0
+    covs = (covs + covs.swapaxes(-1, -2)) / 2.0
+    if covs.ndim == 2:
+        return _clamp_psd(covs)
+    for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] < 0.0):
+        covs[i] = _clamp_psd(covs[i])
+    return covs
+
+
+def _clamp_psd(cov: np.ndarray) -> np.ndarray:
     for _ in range(4):
         w = np.linalg.eigvalsh(cov)
         if w[0] >= 0.0:
@@ -156,11 +169,29 @@ def _psd_normal_form(cov: np.ndarray) -> np.ndarray:
         w_clamped, vec = np.linalg.eigh(cov)
         cov = (vec * np.maximum(w_clamped, 0.0)) @ vec.T
         cov = (cov + cov.T) / 2.0
+    # clamping has not settled: shift the diagonal, doubling the shift until
+    # the smallest eigenvalue is >= 0, so the result is a fixed point
     w = np.linalg.eigvalsh(cov)
-    if w[0] < 0.0:
-        cov = cov + (-w[0]) * np.eye(cov.shape[0])
+    shift, base = -w[0], cov
+    while w[0] < 0.0:
+        cov = base + shift * np.eye(cov.shape[0])
         cov = (cov + cov.T) / 2.0
+        w = np.linalg.eigvalsh(cov)
+        shift *= 2.0
     return cov
+
+
+def _gaussian_fields(mean, cov) -> tuple:
+    """Mean vector and covariance, checked but not in PSD normal form."""
+    mean = _state_vector(mean, "gaussian mean")
+    cov = _float_array(cov, "covariance")
+    if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
+        raise SchemaError(
+            f"covariance must be {mean.size}x{mean.size}, got {cov.shape}"
+        )
+    if not np.all(np.isfinite(cov)):
+        raise SchemaError("covariance contains non-finite entries")
+    return mean, cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,24 +202,13 @@ class GaussianDensity:
     cov: np.ndarray
 
     def __init__(self, mean, cov):
-        mean = _state_vector(mean, "gaussian mean")
-        cov = _float_array(cov, "covariance")
-        if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
-            raise SchemaError(
-                f"covariance must be {mean.size}x{mean.size}, got {cov.shape}"
-            )
-        if not np.all(np.isfinite(cov)):
-            raise SchemaError("covariance contains non-finite entries")
-        cov = _psd_normal_form(cov)
+        mean, cov = _gaussian_fields(mean, cov)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _readonly(cov))
+        object.__setattr__(self, "cov", _readonly(_psd_normal_form(cov)))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def key(self) -> tuple:
-        return ("gaussian", self.mean.tobytes(), self.cov.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +223,6 @@ class DiracDensity:
     @property
     def dim(self) -> int:
         return self.location.shape[0]
-
-    def key(self) -> tuple:
-        return ("dirac", self.location.tobytes())
 
 
 SingleObjectDensity = Union[GaussianDensity, DiracDensity]
@@ -236,32 +253,69 @@ class BernoulliComponent:
         return self.density.dim
 
 
+def _fill(mb, r, means, covs, normalize=False):
+    """Set the arrays of ``mb`` from per-row r, means and covariances (None
+    for a Dirac); ``normalize`` puts the covariances in PSD normal form."""
+    dims = {m.shape[0] for m in means}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"components mix state dimensions {sorted(dims)}")
+    n, dim = len(means), (dims.pop() if dims else 0)
+    zero = np.zeros((dim, dim))
+    dirac = np.array([c is None for c in covs], dtype=bool)
+    covs = np.array([zero if c is None else c for c in covs], dtype=float)
+    covs = covs.reshape(n, dim, dim)
+    if normalize and not dirac.all():
+        covs[~dirac] = _psd_normal_form(covs[~dirac])
+    arrays = {
+        "r": np.array(r, dtype=float),
+        "means": np.array(means, dtype=float).reshape(n, dim),
+        "covs": covs,
+        "dirac": dirac,
+    }
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(mb, name, arr)
+    return mb
+
+
 @dataclass(frozen=True, eq=False)
 class MBDensity:
-    """Ordered list of Bernoulli components; the empty list is the
-    certainly-empty set density."""
+    """Ordered list of Bernoulli components as four read-only arrays; the
+    empty list is the certainly-empty set density."""
 
-    components: tuple
+    r: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    dirac: np.ndarray
 
     def __init__(self, components=()):
         components = tuple(components)
-        dims = {c.dim for c in components}
-        if len(dims) > 1:
-            raise DimensionMismatchError(
-                f"components mix state dimensions {sorted(dims)}"
-            )
-        object.__setattr__(self, "components", components)
+        dens = [c.density for c in components]
+        dirac = [isinstance(d, DiracDensity) for d in dens]
+        means = [d.location if k else d.mean for d, k in zip(dens, dirac)]
+        covs = [None if k else d.cov for d, k in zip(dens, dirac)]
+        _fill(self, [c.r for c in components], means, covs)
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self.r)
+
+    def __getitem__(self, k) -> BernoulliComponent:
+        k = range(len(self))[k]
+        mean = self.means[k]
+        density = DiracDensity(mean) if self.dirac[k] else GaussianDensity(mean, self.covs[k])
+        return BernoulliComponent(self.r[k], density)
 
     @property
     def dim(self) -> int | None:
-        return self.components[0].dim if self.components else None
+        return self.means.shape[1] if len(self.r) else None
 
     @property
     def existence(self) -> np.ndarray:
-        return np.array([c.r for c in self.components], dtype=float)
+        return self.r
+
+    @property
+    def components(self) -> tuple:
+        return tuple(self[k] for k in range(len(self)))
 
     @property
     def densities(self) -> tuple:
@@ -358,45 +412,18 @@ def _require_mapping(data, what: str) -> dict:
     return data
 
 
-def density_from_dict(data) -> SingleObjectDensity:
-    data = _require_mapping(data, "density")
-    kind = data.get("type")
-    if kind == "gaussian":
-        if "mean" not in data or "cov" not in data:
-            raise SchemaError("gaussian density requires 'mean' and 'cov'")
-        return GaussianDensity(data["mean"], data["cov"])
-    if kind == "dirac":
-        if "location" not in data:
-            raise SchemaError("dirac density requires 'location'")
-        return DiracDensity(data["location"])
-    raise SchemaError(f"unknown density type {kind!r}")
-
-
-def density_to_dict(density: SingleObjectDensity) -> dict:
-    if isinstance(density, GaussianDensity):
-        return {
-            "type": "gaussian",
-            "mean": density.mean.tolist(),
-            "cov": density.cov.tolist(),
-        }
-    if isinstance(density, DiracDensity):
-        return {"type": "dirac", "location": density.location.tolist()}
-    raise TypeError(f"not a single-object density: {density!r}")
-
-
 def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
-    """Validate a parsed MB description.
-
-    Covariances are symmetrized and near-zero negative eigenvalues clamped.
-    ``allow_zero_existence`` relaxes the default (0, 1] range to [0, 1].
-    """
+    """Validate a parsed MB description: each field in document order, then
+    all covariances in one batched pass, so a document with several faults
+    may report one that is not its first.  ``allow_zero_existence`` relaxes
+    the default (0, 1] range to [0, 1]."""
     data = _require_mapping(data, "MB density")
     if "components" not in data:
         raise SchemaError("MB density requires a 'components' list")
     raw = data["components"]
     if not isinstance(raw, list):
         raise SchemaError("'components' must be a list")
-    comps = []
+    rs, means, covs = [], [], []
     for k, item in enumerate(raw):
         item = _require_mapping(item, f"component {k}")
         if "r" not in item or "density" not in item:
@@ -406,14 +433,32 @@ def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
             raise SchemaError(
                 f"component {k}: existence probability out of range (r={r!r})"
             )
-        comps.append(BernoulliComponent(r, density_from_dict(item["density"])))
-    return MBDensity(comps)
+        density = _require_mapping(item["density"], "density")
+        kind = density.get("type")
+        if kind == "gaussian":
+            if "mean" not in density or "cov" not in density:
+                raise SchemaError("gaussian density requires 'mean' and 'cov'")
+            mean, cov = _gaussian_fields(density["mean"], density["cov"])
+        elif kind == "dirac":
+            if "location" not in density:
+                raise SchemaError("dirac density requires 'location'")
+            mean, cov = _state_vector(density["location"], "dirac location"), None
+        else:
+            raise SchemaError(f"unknown density type {kind!r}")
+        rs.append(r)
+        means.append(mean)
+        covs.append(cov)
+    return _fill(object.__new__(MBDensity), rs, means, covs, normalize=True)
 
 
 def mb_to_dict(mb: MBDensity) -> dict:
+    rows = zip(mb.r.tolist(), mb.dirac.tolist(), mb.means.tolist(), mb.covs.tolist())
     return {
         "components": [
-            {"r": c.r, "density": density_to_dict(c.density)} for c in mb.components
+            {"r": r, "density": {"type": "dirac", "location": m}}
+            if dirac
+            else {"r": r, "density": {"type": "gaussian", "mean": m, "cov": c}}
+            for r, dirac, m, c in rows
         ]
     }
 

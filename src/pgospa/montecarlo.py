@@ -187,12 +187,9 @@ def _extract_points(mix: MBMixture, threshold: float) -> MBDensity:
     # report components above the existence threshold from the
     # highest-weight mixture entry, as unit-existence point masses
     _, best_mb = max(mix.entries, key=lambda wm: wm[0])
-    comps = []
-    for c in best_mb.components:
-        if c.r > threshold:
-            loc = c.density.mean if isinstance(c.density, GaussianDensity) else c.density.location
-            comps.append(BernoulliComponent(1.0, DiracDensity(np.asarray(loc))))
-    return MBDensity(comps)
+    return MBDensity(
+        BernoulliComponent(1.0, DiracDensity(m)) for m in best_mb.means[best_mb.r > threshold]
+    )
 
 
 def generate_runs(

@@ -74,7 +74,7 @@ def brute_force_pgospa(
     if nx == 0:
         return float(((ry * cpa).sum()) ** (1.0 / p))
     rx = a.existence
-    D = pairwise_base_distance(a.densities, b.densities, base)
+    D = pairwise_base_distance(a, b, base)
     Dc = np.minimum(D, c)
     pair_cost = np.minimum(rx[:, None], ry[None, :]) * Dc**p + np.abs(
         rx[:, None] - ry[None, :]
@@ -115,7 +115,7 @@ def brute_force_assignment_sets(
     if nx == 0 or ny == 0:
         return float(max(unmatched_all, 0.0) ** (1.0 / p)), ()
 
-    D = pairwise_base_distance(fx.densities, fy.densities, base)
+    D = pairwise_base_distance(fx, fy, base)
     pair_term = np.minimum(rx[:, None], ry[None, :]) * D**p + np.abs(
         rx[:, None] - ry[None, :]
     ) * cp2

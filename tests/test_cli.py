@@ -379,6 +379,47 @@ def test_overflowing_mean_gap_saturates_silently(tmp_path, capsys):
     assert caught == []
 
 
+@pytest.mark.parametrize(
+    "x, y, base",
+    [
+        (dirac(1.0, 0.0), dirac(1.0, 1e160), "w2"),
+        (dirac(1.0, 0.0), dirac(1.0, 1e160), "euclidean"),
+        (
+            gauss(1.0, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            gauss(1.0, [1e160, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            "w2",
+        ),
+    ],
+)
+def test_overflowing_squared_gap_below_cutoff_is_exact(tmp_path, capsys, x, y, base):
+    # ||dm||^2 = 1e320 overflows, but the distance 1e160 is below c
+    fx = write(tmp_path / "x.json", mb_doc(x))
+    fy = write(tmp_path / "y.json", mb_doc(y))
+    code, out, err = run(
+        capsys, "eval", fx, fy, "--c", "1e200", "--p", "1", "--base", base
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["total"] == pytest.approx(1e160, rel=1e-15)
+    assert doc["matched_pairs"] == [[0, 0]]
+
+
+def test_near_tie_ignores_saturated_only_alternatives(tmp_path, capsys):
+    # at alpha = 2 both matchings report no pair; at alpha = 1 they differ
+    fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))
+    fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 100.0), dirac(1.0, 200.0)))
+    doc = json.loads(run(capsys, "eval", fx, fy, "--c", "5")[1])
+    assert doc["matched_pairs"] == [] and doc["near_tie"] is False
+    doc = json.loads(run(capsys, "eval", fx, fy, "--c", "5", "--alpha", "1")[1])
+    assert doc["matched_pairs"] == [[0, 0]] and doc["near_tie"] is True
+
+
+def test_flags_do_not_leak_between_calls(tmp_path, capsys):
+    f = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))
+    assert json.loads(run(capsys, "eval", f, f, "--c", "3")[1])["c"] == 3.0
+    assert json.loads(run(capsys, "eval", f, f)[1])["c"] == 10.0
+
+
 def test_overflowing_cutoff_power_exits_3(tmp_path, capsys):
     f = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))
     code, _, err = run(capsys, "eval", f, f, "--c", "1e200", "--p", "2")

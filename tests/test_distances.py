@@ -6,8 +6,10 @@ from scipy.integrate import quad
 
 from pgospa import (
     BaseDistanceKind,
+    BernoulliComponent,
     DiracDensity,
     GaussianDensity,
+    MBDensity,
     cutoff,
     euclidean_dirac,
     gaussian_hellinger,
@@ -252,6 +254,49 @@ class TestPairwise:
             gated = pairwise_base_distance(xs, ys, c=c)
             assert np.array_equal(gated, np.minimum(full, c))
             assert np.array_equal(gated < c, full < c)
+
+
+@pytest.mark.parametrize("kind", list(BaseDistanceKind))
+def test_mb_arrays_equal_density_sequences(rng, kind):
+    for _ in range(40):
+        dim = int(rng.integers(1, 5))
+        if kind is BaseDistanceKind.EUCLIDEAN:
+            def density():
+                return DiracDensity(rng.integers(-2, 3, dim).astype(float))
+        else:
+            def density():
+                if kind is BaseDistanceKind.W2 and rng.random() < 0.3:
+                    return DiracDensity(rng.uniform(-5, 5, dim))
+                return make_gaussian(rng, dim)
+        xs = [density() for _ in range(int(rng.integers(0, 7)))]
+        ys = [density() for _ in range(int(rng.integers(0, 7)))] + xs[:2]
+        fx = MBDensity([BernoulliComponent(0.5, d) for d in xs])
+        fy = MBDensity([BernoulliComponent(0.5, d) for d in ys])
+        for c in (None, 3.0):
+            got = pairwise_base_distance(fx, fy, kind, c=c)
+            want = pairwise_base_distance(fx.densities, fy.densities, kind, c=c)
+            assert got.shape == (len(xs), len(ys))
+            assert np.array_equal(got, want)
+
+
+def test_overflowing_squared_gap_is_scaled():
+    # 1e160 and 3e160 apart: ||dm||^2 overflows, the coordinates do not
+    for dim in (1, 2, 3):
+        far = np.zeros(dim)
+        far[0] = 3e160
+        for kind, make in (
+            (BaseDistanceKind.W2, lambda m: GaussianDensity(m, np.eye(dim))),
+            (BaseDistanceKind.W2, DiracDensity),
+            (BaseDistanceKind.EUCLIDEAN, DiracDensity),
+        ):
+            xs = [make(np.zeros(dim)), make(np.full(dim, 1e160))]
+            ys = [make(far), make(np.zeros(dim))]
+            want = 1e160 * np.array([[3.0, 0.0], [math.sqrt(3 + dim), math.sqrt(dim)]])
+            for c in (None, 1e200):
+                got = pairwise_base_distance(xs, ys, kind, c=c)
+                assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+            got = pairwise_base_distance(xs, ys, kind, c=1e100)
+            assert np.array_equal(got, np.minimum(want, 1e100))
 
 
 def test_base_distance_kind_parsing():

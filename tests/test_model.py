@@ -7,6 +7,7 @@ from pgospa import (
     BernoulliComponent,
     DimensionMismatchError,
     DiracDensity,
+    GaussianDensity,
     MBDensity,
     MetricParams,
     SchemaError,
@@ -181,3 +182,59 @@ def test_densities_are_read_only():
     mb = mb_from_dict(mb_doc([gauss(0.7, [2.0], [[1.0]])]))
     with pytest.raises(ValueError):
         mb.components[0].density.mean[0] = 5.0
+
+
+def clamp_band_cov(rng, dim):
+    """Symmetric covariance whose smallest eigenvalue lies in the clamp
+    band (-1e-9, 0)."""
+    v = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    w = rng.uniform(0.5, 3.0, dim)
+    w[0] = -rng.uniform(1e-12, 9e-10)
+    cov = (v * w) @ v.T
+    return ((cov + cov.T) / 2).tolist()
+
+
+def test_document_arrays_equal_component_arrays(rng):
+    clamped = 0
+    for _ in range(60):
+        dim = int(rng.integers(1, 5))
+        docs, objs = [], []
+        for _ in range(int(rng.integers(0, 12))):
+            r = float(rng.uniform(0.05, 1.0))
+            mean = rng.uniform(-5, 5, dim).tolist()
+            u = rng.random()
+            if u < 0.3:
+                docs.append({"r": r, "density": {"type": "dirac", "location": mean}})
+                objs.append(BernoulliComponent(r, DiracDensity(mean)))
+                continue
+            if u < 0.6:
+                cov = clamp_band_cov(rng, dim)
+                clamped += 1
+            else:
+                A = rng.normal(size=(dim, dim))
+                cov = (A @ A.T + 0.05 * np.eye(dim)).tolist()
+            docs.append(gauss(r, mean, cov))
+            objs.append(BernoulliComponent(r, GaussianDensity(mean, cov)))
+        mb = mb_from_dict(mb_doc(docs))
+        ref = MBDensity(objs)
+        for name in ("r", "means", "covs", "dirac"):
+            got, want = getattr(mb, name), getattr(ref, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and not want.flags.writeable
+        text = serialize_mb(mb)
+        assert serialize_mb(ref) == text
+        assert serialize_mb(mb_from_dict(json.loads(text))) == text
+    assert clamped > 50
+
+
+def test_components_are_views_of_the_arrays():
+    dirac = {"r": 0.4, "density": {"type": "dirac", "location": [1.0]}}
+    mb = mb_from_dict(mb_doc([gauss(0.7, [2.0], [[1.0]]), dirac]))
+    assert mb[0].r == 0.7 and mb[0].density.cov.tolist() == [[1.0]]
+    assert isinstance(mb[-1].density, DiracDensity)
+    assert mb[-1].density.location.tolist() == [1.0]
+    assert [c.r for c in mb.components] == mb.r.tolist() == [0.7, 0.4]
+    assert mb.dirac.tolist() == [False, True] and mb.covs[1].tolist() == [[0.0]]
+    with pytest.raises(IndexError):
+        mb[2]
