@@ -5,9 +5,12 @@ existence probability ``r`` with a single-object density (Gaussian or a
 Dirac point mass).  ``MBDensity`` holds it as four arrays, its only state:
 ``r`` (n,), ``means`` (n, D), ``covs`` (n, D, D), zero for a Dirac, and the
 Dirac mask ``dirac`` (n,); ``components``, ``densities`` and ``mb[k]`` are
-views built from them.  A document's covariances are validated in one
-batched pass.  An MB mixture adds normalized weights over several MB
-densities.  All types are immutable after construction and safe to share
+views built from them.  A clean document is validated in one structural
+pass over its components and one check per field stacked over the whole
+document, with its covariances put in normal form in one batched pass;
+a per-field walk decides faulty and odd documents and is the only code
+that reports a fault.  An MB mixture adds normalized weights over several
+MB densities.  All types are immutable after construction and safe to share
 across threads; numpy arrays are stored read-only.
 
 JSON schemas
@@ -116,14 +119,20 @@ def _float_array(value, what: str) -> np.ndarray:
     raise SchemaError(f"{what} is not an array of numbers")
 
 
+def _leaves(value, depth: int):
+    """Iterator over the entries of the ``depth``-deep nested sequence
+    ``value``."""
+    for _ in range(depth - 1):
+        value = itertools.chain.from_iterable(value)
+    return iter(value)
+
+
 def _holds_bool(value, depth: int) -> bool:
     """True if a boolean is among the entries of the ``depth``-deep nested
     sequence ``value``: numpy reads ``[1.0, True]`` as a float array."""
     if depth == 0 or isinstance(value, np.ndarray):
         return False
-    for _ in range(depth - 1):
-        value = itertools.chain.from_iterable(value)
-    return bool in map(type, value)
+    return bool in map(type, _leaves(value, depth))
 
 
 def _state_vector(value, what: str) -> np.ndarray:
@@ -253,26 +262,42 @@ class BernoulliComponent:
         return self.density.dim
 
 
-def _fill(mb, r, means, covs, normalize=False):
-    """Set the arrays of ``mb`` from per-row r, means and covariances (None
-    for a Dirac); ``normalize`` puts the covariances in PSD normal form."""
-    dims = {m.shape[0] for m in means}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"components mix state dimensions {sorted(dims)}")
-    n, dim = len(means), (dims.pop() if dims else 0)
+def _stack_means(means: list) -> np.ndarray:
+    """Stack n checked 1-D vectors into (n, D); vectors of several lengths
+    are a dimension mismatch."""
+    if not means:
+        return np.zeros((0, 0))
+    try:
+        return np.array(means, dtype=float)
+    except ValueError:
+        dims = sorted({m.shape[0] for m in means})
+        raise DimensionMismatchError(f"components mix state dimensions {dims}") from None
+
+
+def _stack_covs(covs: list, dim: int) -> np.ndarray:
+    """Stack n covariances (D, D), None for a Dirac, into (n, D, D) with
+    zero matrices for the Diracs."""
+    if not covs:
+        return np.zeros((0, dim, dim))
     zero = np.zeros((dim, dim))
-    dirac = np.array([c is None for c in covs], dtype=bool)
-    covs = np.array([zero if c is None else c for c in covs], dtype=float)
-    covs = covs.reshape(n, dim, dim)
-    if normalize and not dirac.all():
-        covs[~dirac] = _psd_normal_form(covs[~dirac])
-    arrays = {
-        "r": np.array(r, dtype=float),
-        "means": np.array(means, dtype=float).reshape(n, dim),
-        "covs": covs,
-        "dirac": dirac,
-    }
-    for name, arr in arrays.items():
+    return np.concatenate([zero if c is None else c for c in covs]).reshape(-1, dim, dim)
+
+
+def _normal_covs(covs: np.ndarray, dirac: np.ndarray) -> np.ndarray:
+    """``covs`` with its Gaussian rows in PSD normal form; Dirac rows stay
+    zero."""
+    if dirac.all():
+        return covs
+    if not dirac.any():
+        return _psd_normal_form(covs)
+    covs[~dirac] = _psd_normal_form(covs[~dirac])
+    return covs
+
+
+def _fill(mb, r, means, covs, dirac):
+    """Set the four stacked arrays of ``mb``, read-only: r (n,), means
+    (n, D), covs (n, D, D), zero for a Dirac, and the Dirac mask (n,)."""
+    for name, arr in (("r", r), ("means", means), ("covs", covs), ("dirac", dirac)):
         arr.setflags(write=False)
         object.__setattr__(mb, name, arr)
     return mb
@@ -292,9 +317,10 @@ class MBDensity:
         components = tuple(components)
         dens = [c.density for c in components]
         dirac = [isinstance(d, DiracDensity) for d in dens]
-        means = [d.location if k else d.mean for d, k in zip(dens, dirac)]
-        covs = [None if k else d.cov for d, k in zip(dens, dirac)]
-        _fill(self, [c.r for c in components], means, covs)
+        means = _stack_means([d.location if k else d.mean for d, k in zip(dens, dirac)])
+        covs = _stack_covs([None if k else d.cov for d, k in zip(dens, dirac)], means.shape[1])
+        r = np.array([c.r for c in components], dtype=float)
+        _fill(self, r, means, covs, np.array(dirac, dtype=bool))
 
     def __len__(self) -> int:
         return len(self.r)
@@ -412,17 +438,75 @@ def _require_mapping(data, what: str) -> dict:
     return data
 
 
-def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
-    """Validate a parsed MB description: each field in document order, then
-    all covariances in one batched pass, so a document with several faults
-    may report one that is not its first.  ``allow_zero_existence`` relaxes
-    the default (0, 1] range to [0, 1]."""
-    data = _require_mapping(data, "MB density")
-    if "components" not in data:
-        raise SchemaError("MB density requires a 'components' list")
-    raw = data["components"]
-    if not isinstance(raw, list):
-        raise SchemaError("'components' must be a list")
+_NUMBER_TYPES = frozenset({int, float})
+_ITEM_KEYS = frozenset({"r", "density"})
+_GAUSSIAN_KEYS = frozenset({"type", "mean", "cov"})
+_DIRAC_KEYS = frozenset({"type", "location"})
+
+
+def _number_stack(values: list, depth: int):
+    """The ``depth``-deep nested lists ``values`` as one finite float array,
+    or None unless every entry is a plain int or float: no boolean, string,
+    null or numpy scalar."""
+    if not _NUMBER_TYPES.issuperset(map(type, _leaves(values, depth))):
+        return None
+    arr = np.array(values)
+    if arr.dtype.kind not in "if":  # integers beyond 64 bits: the walk converts them
+        return None
+    arr = arr.astype(float, copy=False)
+    return arr if np.isfinite(arr).all() else None
+
+
+def _stacked_fields(raw: list, allow_zero_existence: bool):
+    """The (r, means, covs, dirac) arrays of a clean non-empty components
+    list, or None when any doubt remains.  One structural pass proves that
+    every item and density has exactly the keys of its kind, and every
+    field is checked once on its whole-document stack.  Nothing here
+    raises: a fault or an odd input returns None, and the per-field walk
+    decides the document and reports its fault."""
+    rs, means, covs, dirac = [], [], [], []
+    try:
+        for item in raw:
+            if type(item) is not dict or item.keys() != _ITEM_KEYS:
+                return None
+            density = item["density"]
+            if type(density) is not dict:
+                return None
+            kind = density.get("type")
+            if kind == "gaussian" and density.keys() == _GAUSSIAN_KEYS:
+                means.append(density["mean"])
+                covs.append(density["cov"])
+            elif kind == "dirac" and density.keys() == _DIRAC_KEYS:
+                means.append(density["location"])
+            else:
+                return None
+            rs.append(item["r"])
+            dirac.append(kind == "dirac")
+        r = _number_stack(rs, 1)
+        if r is None or r.max() > 1.0 or r.min() < 0.0:
+            return None
+        if r.min() == 0.0 and not allow_zero_existence:
+            return None
+        means = _number_stack(means, 2)
+        if means is None or means.shape[1] == 0:
+            return None
+        n, dim = means.shape
+        dirac = np.array(dirac, dtype=bool)
+        cov_stack = np.zeros((n, dim, dim))
+        if covs:
+            covs = _number_stack(covs, 3)
+            if covs is None or covs.shape[1:] != (dim, dim):
+                return None
+            cov_stack[~dirac] = covs
+        return r, means, _normal_covs(cov_stack, dirac), dirac
+    except (TypeError, ValueError):  # non-iterables, ragged stacks, SchemaError
+        return None
+
+
+def _walked_fields(raw: list, allow_zero_existence: bool):
+    """The (r, means, covs, dirac) arrays of a components list, each field
+    checked in document order, then all covariances in one batched pass;
+    raises the document's ``SchemaError`` or ``DimensionMismatchError``."""
     rs, means, covs = [], [], []
     for k, item in enumerate(raw):
         item = _require_mapping(item, f"component {k}")
@@ -448,7 +532,30 @@ def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
         rs.append(r)
         means.append(mean)
         covs.append(cov)
-    return _fill(object.__new__(MBDensity), rs, means, covs, normalize=True)
+    stacked = _stack_means(means)
+    cov_stack = _stack_covs(covs, stacked.shape[1])
+    dirac = np.array([c is None for c in covs], dtype=bool)
+    return np.array(rs, dtype=float), stacked, _normal_covs(cov_stack, dirac), dirac
+
+
+def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
+    """Validate a parsed MB description.  A clean document takes one
+    structural pass and one check per stacked field; any fault or odd input
+    (extra keys, integers beyond 64 bits, ...) is decided by the per-field
+    walk, the only code that raises.  The walk checks each field in
+    document order, then all covariances in one batched pass, so a document
+    with several faults may report one that is not its first.
+    ``allow_zero_existence`` relaxes the default (0, 1] range to [0, 1]."""
+    data = _require_mapping(data, "MB density")
+    if "components" not in data:
+        raise SchemaError("MB density requires a 'components' list")
+    raw = data["components"]
+    if not isinstance(raw, list):
+        raise SchemaError("'components' must be a list")
+    fields = _stacked_fields(raw, allow_zero_existence) if raw else None
+    if fields is None:
+        fields = _walked_fields(raw, allow_zero_existence)
+    return _fill(object.__new__(MBDensity), *fields)
 
 
 def mb_to_dict(mb: MBDensity) -> dict:
@@ -521,8 +628,17 @@ def serialize_mb(mb: MBDensity) -> str:
 
 
 def load_document(path):
+    """The JSON document at ``path``.  Text that is not UTF-8, and arrays or
+    objects nested too deep to decode, are schema errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(
+                f"invalid JSON: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+        except RecursionError:
+            raise SchemaError("invalid JSON: nesting too deep to decode") from None
 
 
 def load_mb(path, allow_zero_existence: bool = False) -> MBDensity:

@@ -63,6 +63,22 @@ class TestEval:
         assert code == 2
         assert "line" in err and "column" in err
 
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"components": [\xff]}')
+        good = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0)))
+        code, _, err = run(capsys, "eval", str(bad), good)
+        assert code == 2
+        assert err == "error: invalid JSON: not UTF-8 text (invalid start byte at byte 16)\n"
+
+    def test_over_deep_nesting_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        good = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0)))
+        code, _, err = run(capsys, "eval", good, str(deep))
+        assert code == 2
+        assert err == "error: invalid JSON: nesting too deep to decode\n"
+
     def test_schema_violation_exits_2(self, tmp_path, capsys):
         fx = write(tmp_path / "x.json", mb_doc(dirac(1.2, 0.0)))
         fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0)))

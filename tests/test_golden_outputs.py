@@ -10,6 +10,8 @@ import pytest
 
 from pgospa.cli import main
 
+SWEEP_EXAMPLE1 = "3918b7661137474d5f2fad621a446842ac9a89a4974331cf2859a9e5185913c4"
+
 SWEEP_EXAMPLE2 = {
     ():
         "15ecf4f7d685138a7403fdd0579affb1006d1f260b9caeced90e42a8a0b89def",
@@ -66,6 +68,12 @@ def run_dirs(tmp_path_factory):
                 "--objects", "4", "--dim", "2", "--seed", "11", *flags]
         assert main(argv) == 0
     return dirs
+
+
+def test_sweep_example1_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-example1", "--out", str(out)]) == 0
+    assert sha256(out) == SWEEP_EXAMPLE1
 
 
 @pytest.mark.parametrize("flags", list(SWEEP_EXAMPLE2))

@@ -18,6 +18,7 @@ from pgospa import (
     points_from_dict,
     serialize_mb,
 )
+from pgospa import model
 
 from conftest import make_mb
 
@@ -238,3 +239,316 @@ def test_components_are_views_of_the_arrays():
     assert mb.dirac.tolist() == [False, True] and mb.covs[1].tolist() == [[0.0]]
     with pytest.raises(IndexError):
         mb[2]
+
+
+# ---------------------------------------------------------------------------
+# One fault per document: a clean 20-component 4-D document (Diracs at rows 3
+# and 15) with one fault at row MID.  The exception type and message of each
+# are pinned, and must not depend on which validation path sees the document.
+
+MID = 10
+
+
+def clean_components(n=20, dim=4, diracs=(3, 15), seed=7):
+    rng = np.random.default_rng(seed)
+    comps = []
+    for k in range(n):
+        r = float(rng.uniform(0.05, 1.0))
+        mean = rng.uniform(-5.0, 5.0, dim).tolist()
+        if k in diracs:
+            comps.append({"r": r, "density": {"type": "dirac", "location": mean}})
+        else:
+            A = rng.normal(size=(dim, dim))
+            comps.append(gauss(r, mean, (A @ A.T + 0.1 * np.eye(dim)).tolist()))
+    return comps
+
+
+def below_band_cov(dim=4):
+    v = np.linalg.qr(np.random.default_rng(3).normal(size=(dim, dim)))[0]
+    cov = (v * np.array([-1e-6] + [1.0] * (dim - 1))) @ v.T
+    return ((cov + cov.T) / 2).tolist()
+
+
+def with_density(item, **fields):
+    """``item`` with the given density fields set; a field given as None is
+    removed."""
+    density = {k: v for k, v in item["density"].items() if fields.get(k, 0) is not None}
+    density.update({k: v for k, v in fields.items() if v is not None})
+    return {"r": item["r"], "density": density}
+
+
+def with_mean_entry(item, value):
+    mean = list(item["density"]["mean"])
+    mean[1] = value
+    return with_density(item, mean=mean)
+
+
+def with_cov_entry(item, value, symmetric=True):
+    cov = [list(row) for row in item["density"]["cov"]]
+    cov[2][1] = value
+    if symmetric:
+        cov[1][2] = value
+    return with_density(item, cov=cov)
+
+
+def identity_with(value, dim=4):
+    cov = np.eye(dim).tolist()
+    cov[1][1] = value
+    return cov
+
+
+def as_dirac(item, location=None):
+    loc = item["density"]["mean"] if location is None else location
+    return {"r": item["r"], "density": {"type": "dirac", "location": loc}}
+
+
+NOT_NUMBER = "component 10: existence probability is not a number"
+COMPONENT_FAULTS = {
+    "r-bool": (lambda c: {**c, "r": True}, SchemaError, NOT_NUMBER),
+    "r-string": (lambda c: {**c, "r": "0.5"}, SchemaError, NOT_NUMBER),
+    "r-null": (lambda c: {**c, "r": None}, SchemaError, NOT_NUMBER),
+    "r-overflow": (lambda c: {**c, "r": 10**400}, SchemaError, NOT_NUMBER),
+    "r-above-1": (
+        lambda c: {**c, "r": 1.5}, SchemaError,
+        "component 10: existence probability out of range (r=1.5)",
+    ),
+    "r-negative": (
+        lambda c: {**c, "r": -0.25}, SchemaError,
+        "component 10: existence probability out of range (r=-0.25)",
+    ),
+    "r-nan": (
+        lambda c: {**c, "r": float("nan")}, SchemaError,
+        "component 10: existence probability out of range (r=nan)",
+    ),
+    "r-zero": (
+        lambda c: {**c, "r": 0}, SchemaError,
+        "component 10: existence probability out of range (r=0.0)",
+    ),
+    "r-missing": (
+        lambda c: {"density": c["density"]}, SchemaError,
+        "component 10 requires 'r' and 'density'",
+    ),
+    "density-missing": (
+        lambda c: {"r": c["r"]}, SchemaError, "component 10 requires 'r' and 'density'",
+    ),
+    "item-not-object": (
+        lambda c: [c["r"], c["density"]], SchemaError,
+        "component 10 must be a JSON object, got list",
+    ),
+    "density-not-object": (
+        lambda c: {"r": c["r"], "density": "gaussian"}, SchemaError,
+        "density must be a JSON object, got str",
+    ),
+    "type-unknown": (
+        lambda c: with_density(c, type="poisson"), SchemaError,
+        "unknown density type 'poisson'",
+    ),
+    "mean-missing": (
+        lambda c: with_density(c, mean=None), SchemaError,
+        "gaussian density requires 'mean' and 'cov'",
+    ),
+    "cov-missing": (
+        lambda c: with_density(c, cov=None), SchemaError,
+        "gaussian density requires 'mean' and 'cov'",
+    ),
+    "location-missing": (
+        lambda c: {"r": c["r"], "density": {"type": "dirac"}}, SchemaError,
+        "dirac density requires 'location'",
+    ),
+    "mean-ragged": (
+        lambda c: with_density(c, mean=[[0.0, 1.0], [2.0]]), SchemaError,
+        "gaussian mean is not an array of numbers",
+    ),
+    "mean-empty": (
+        lambda c: with_density(c, mean=[]), SchemaError,
+        "gaussian mean must be a non-empty 1-D real vector",
+    ),
+    "mean-bool": (
+        lambda c: with_mean_entry(c, True), SchemaError,
+        "gaussian mean is not an array of numbers",
+    ),
+    "mean-string": (
+        lambda c: with_mean_entry(c, "1"), SchemaError,
+        "gaussian mean is not an array of numbers",
+    ),
+    "mean-overflow": (
+        lambda c: with_mean_entry(c, 10**400), SchemaError,
+        "gaussian mean is not an array of numbers",
+    ),
+    "mean-nan": (
+        lambda c: with_mean_entry(c, float("nan")), SchemaError,
+        "gaussian mean contains non-finite entries",
+    ),
+    "mean-inf": (
+        lambda c: with_mean_entry(c, float("inf")), SchemaError,
+        "gaussian mean contains non-finite entries",
+    ),
+    "location-bool": (
+        lambda c: as_dirac(c, [1.0, True, 0.0, 0.0]), SchemaError,
+        "dirac location is not an array of numbers",
+    ),
+    "location-nan": (
+        lambda c: as_dirac(c, [1.0, float("nan"), 0.0, 0.0]), SchemaError,
+        "dirac location contains non-finite entries",
+    ),
+    "cov-bool": (
+        lambda c: with_density(c, cov=identity_with(True)), SchemaError,
+        "covariance is not an array of numbers",
+    ),
+    "cov-bool-pair": (
+        lambda c: with_cov_entry(c, True), SchemaError,
+        "covariance is not an array of numbers",
+    ),
+    "cov-string": (
+        lambda c: with_cov_entry(c, "0.5"), SchemaError,
+        "covariance is not an array of numbers",
+    ),
+    "cov-shape": (
+        lambda c: with_density(c, cov=np.eye(3).tolist()), SchemaError,
+        "covariance must be 4x4, got (3, 3)",
+    ),
+    "cov-nan": (
+        lambda c: with_cov_entry(c, float("nan")), SchemaError,
+        "covariance contains non-finite entries",
+    ),
+    "cov-inf": (
+        lambda c: with_cov_entry(c, float("inf")), SchemaError,
+        "covariance contains non-finite entries",
+    ),
+    "cov-diagonal-nan": (
+        lambda c: with_density(c, cov=identity_with(float("nan"))), SchemaError,
+        "covariance contains non-finite entries",
+    ),
+    "cov-asymmetric": (
+        lambda c: with_cov_entry(c, c["density"]["cov"][2][1] + 1e-6, symmetric=False),
+        SchemaError,
+        "covariance is not symmetric (max asymmetry 1e-06 > 1e-09)",
+    ),
+    "cov-below-band": (
+        lambda c: with_density(c, cov=below_band_cov()), SchemaError,
+        "covariance has eigenvalue -1e-06 below -1e-09",
+    ),
+    "dimension-mismatch": (
+        lambda c: gauss(c["r"], [0.0, 1.0, 2.0], np.eye(3).tolist()),
+        DimensionMismatchError, "components mix state dimensions [3, 4]",
+    ),
+    "dirac-dimension-mismatch": (
+        lambda c: as_dirac(c, [0.0, 1.0]),
+        DimensionMismatchError, "components mix state dimensions [2, 4]",
+    ),
+}
+
+
+def faulty_document(fault):
+    comps = clean_components()
+    comps[MID] = COMPONENT_FAULTS[fault][0](comps[MID])
+    return mb_doc(comps)
+
+
+@pytest.mark.parametrize("as_mixture", [False, True], ids=["mb", "mixture"])
+@pytest.mark.parametrize("fault", list(COMPONENT_FAULTS))
+def test_single_fault_message(fault, as_mixture):
+    doc = faulty_document(fault)
+    _, exc_type, message = COMPONENT_FAULTS[fault]
+    if as_mixture:
+        clean = mb_doc(clean_components())
+        doc = {"mixture": [{"weight": 0.5, "mb": clean}, {"weight": 0.5, "mb": doc}]}
+    with pytest.raises(exc_type) as info:
+        (mbm_from_dict if as_mixture else mb_from_dict)(doc)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message
+
+
+# faults that only show when every row has them: the stacks are then regular
+DOCUMENT_FAULTS = {
+    "mean-empty": (
+        [gauss(0.5, [], [])], "gaussian mean must be a non-empty 1-D real vector",
+    ),
+    "location-empty": (
+        [as_dirac(gauss(0.5, [], []))] * 3, "dirac location must be a non-empty 1-D real vector",
+    ),
+    "cov-shape": (
+        [with_density(c, cov=np.eye(3).tolist()) for c in clean_components(diracs=())],
+        "covariance must be 4x4, got (3, 3)",
+    ),
+    "cov-shape-broadcast": (
+        [with_density(c, cov=[[1.0]]) for c in clean_components(diracs=())],
+        "covariance must be 4x4, got (1, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(DOCUMENT_FAULTS))
+def test_fault_in_every_row_message(fault):
+    comps, message = DOCUMENT_FAULTS[fault]
+    with pytest.raises(SchemaError) as info:
+        mb_from_dict(mb_doc(comps))
+    assert str(info.value) == message
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def fast_and_walk(doc, allow_zero_existence=False):
+    """The fields from both validation paths, and the arrays of the MB."""
+    raw = doc["components"]
+    mb = mb_from_dict(doc, allow_zero_existence)
+    arrays = (mb.r, mb.means, mb.covs, mb.dirac)
+    stacked = model._stacked_fields(raw, allow_zero_existence)
+    walked = model._walked_fields(raw, allow_zero_existence)
+    assert_same_arrays(arrays, walked)
+    if stacked is not None:
+        assert_same_arrays(stacked, walked)
+    return stacked is not None, arrays
+
+
+def test_clean_mixed_document_takes_the_stacked_path():
+    fast, arrays = fast_and_walk(mb_doc(clean_components()))
+    assert fast and arrays[3].tolist().count(True) == 2
+    assert fast_and_walk(mb_doc(clean_components(diracs=range(20))))[0]
+    assert fast_and_walk(mb_doc(clean_components(diracs=())))[0]
+
+
+def test_zero_existence_takes_the_stacked_path_when_allowed():
+    comps = clean_components()
+    comps[MID] = {**comps[MID], "r": 0}
+    fast, arrays = fast_and_walk(mb_doc(comps), allow_zero_existence=True)
+    assert fast and arrays[0][MID] == 0.0
+
+
+def test_integer_entries_take_the_stacked_path():
+    comps = clean_components(diracs=())
+    comps[2] = gauss(1, [1, 2, 3, 4], (2 * np.eye(4, dtype=int)).tolist())
+    # integers that doubles round, beside float rows and within one row
+    comps[MID] = with_density(comps[MID], mean=[2**62 + 1, -(2**61) - 3, 7, 2**53 + 1])
+    comps[12] = with_mean_entry(comps[12], 2**63 + 2049)
+    comps[13] = with_density(comps[13], mean=[2**63 + 5, 2**63 + 2049, 2**64 - 1, 0])
+    fast, arrays = fast_and_walk(mb_doc(comps))
+    assert fast
+    assert arrays[1][MID].tolist() == [float(2**62 + 1), float(-(2**61) - 3), 7.0,
+                                       float(2**53 + 1)]
+    assert arrays[1][12][1] == float(2**63 + 2049)
+
+
+def test_extra_keys_take_the_walk_with_equal_arrays():
+    comps = clean_components()
+    plain = fast_and_walk(mb_doc(comps))[1]
+    comps[MID] = {**comps[MID], "label": "track 7"}
+    comps[3] = {**comps[3], "density": {**comps[3]["density"], "note": None}}
+    fast, arrays = fast_and_walk(mb_doc(comps))
+    assert not fast
+    assert_same_arrays(arrays, plain)
+
+
+def test_integers_beyond_64_bits_take_the_walk():
+    comps = clean_components(diracs=())
+    comps[MID] = with_mean_entry(comps[MID], 10**20)
+    fast, arrays = fast_and_walk(mb_doc(comps))
+    assert not fast and arrays[1][MID][1] == 1e20
+    comps = clean_components(diracs=())
+    comps[MID] = with_density(comps[MID], cov=identity_with(10**30))
+    fast, arrays = fast_and_walk(mb_doc(comps))
+    assert not fast and arrays[2][MID][1, 1] == 1e30
