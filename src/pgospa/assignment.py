@@ -39,18 +39,27 @@ class Assignment:
     total_cost: float
 
 
+def _left_sum(values) -> float:
+    """Sum of a 1-D array from 0.0 strictly left to right, the order
+    Python's ``sum`` adds in (``np.sum`` adds pairwise, which moves the
+    last bits).  Accumulating from the first value instead of from 0.0 can
+    only change the sign of a zero partial sum, which ``+ 0.0`` undoes."""
+    n = len(values)
+    if n > 1:
+        values = np.add.accumulate(values)
+    return float(values[-1]) + 0.0 if n else 0.0
+
+
 def _pairs_total(costs: np.ndarray, pairs) -> float:
-    total = 0.0
-    for i, j in pairs:
-        total += float(costs[i, j])
-    return total
+    n = costs.shape[1]
+    return _left_sum(costs.take([i * n + j for i, j in pairs]))
 
 
 def _check_matrix(costs) -> np.ndarray:
     C = np.asarray(costs, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {C.shape}")
-    if C.size and not np.all(np.isfinite(C)):
+    if not np.isfinite(C).all():
         raise ValueError("cost matrix entries must be finite")
     return C
 

@@ -30,6 +30,15 @@ decomposition and the orientation swap.  ``gospa`` evaluates point sets:
 its result is by definition the metric above on the lifted MB densities
 (all existence probabilities one, Dirac densities at the points) with the
 Euclidean base distance, and it calls ``pgospa`` on exactly those.
+Totals and terms are summed strictly left to right over index arrays, in
+the order of the matched pairs and then of the unmatched indices.
+
+The optional near-tie flag asks whether a matching that reports other
+pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimum.  A lower bound
+from the optimal duals (``_no_near_tie``) answers "no" without another
+solve whenever it clears twice that tolerance; every case it leaves
+undecided goes to ``_second_best_total_p``, which re-solves the
+assignment once per matched pair with that pair forbidden.
 """
 
 from __future__ import annotations
@@ -39,7 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .assignment import LEX_REFINE_MAX, solve_assignment
+from .assignment import (
+    LEX_REFINE_MAX,
+    _duals_rows_complete,
+    _left_sum,
+    solve_assignment,
+)
 from .distances import BaseDistanceKind, base_distance, pairwise_base_distance
 from .model import (
     BernoulliComponent,
@@ -137,6 +151,54 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
     return best
 
 
+def _no_near_tie(reduced, cols, reported, total_p, p) -> bool:
+    """True only if the optimal duals prove that every matching which
+    reports other pairs than the optimal row-complete matching M*,
+    ``i -> cols[i]`` of ``reduced`` (m <= n), exceeds the optimal metric
+    value ``total_p ** (1/p)`` by more than twice ``NEAR_TIE_ABS_TOL``;
+    False means undecided.
+
+    With feasible duals (u, v) and slacks S = C - u - v, a row-complete
+    matching M' costs
+        sum_{M'} S + sum_{j used by M* only} (-v_j) + sum_{j used by M' only} v_j
+    more than M*, and every term is >= -eps.  A matching that reports
+    other pairs moves some row i off cols[i] and thereby loses its own
+    reported pair or gains one; column cols[i] then goes free (-v) or takes
+    another row (S).  Those two terms bound the excess from below.
+    """
+    m, n = reduced.shape
+    rows = np.arange(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = _duals_rows_complete(reduced, cols)
+        S = reduced - u[:, None] - v[None, :]
+        eps = 1e-9 * max(1.0, float(np.abs(reduced).max()))
+        free = np.ones(n, dtype=bool)
+        free[cols] = False
+        # finite slacks imply finite duals
+        if not (
+            np.isfinite(S).all()
+            and S.min() >= -eps
+            and v.max() <= eps
+            and (v[free] >= -eps).all()
+        ):
+            return False
+        others = S.copy()
+        others[rows, cols] = np.inf
+        # L_j for j = cols[i]: column j goes free or takes another row
+        L = np.minimum(-v[cols], others[:, cols].min(axis=0))
+        # a row on a reported pair may move anywhere, others must gain one
+        may_move = reported | reported[rows, cols][:, None]
+        lb = float((L + np.where(may_move, others, np.inf).min(axis=1)).min())
+        lb -= (m + n) * eps
+        if not lb > 0.0:
+            return False
+        # widen both totals by their rounding before comparing the roots
+        rel = 4.0 * (m + n) * np.finfo(float).eps
+        lo = (total_p + lb) * (1.0 - rel)
+        hi = total_p * (1.0 + rel)
+        return bool(lo ** (1.0 / p) - hi ** (1.0 / p) > 2.0 * NEAR_TIE_ABS_TOL)
+
+
 def pgospa(
     fx: MBDensity,
     fy: MBDensity,
@@ -151,7 +213,9 @@ def pgospa(
     ``detect_near_ties`` additionally reports whether a matching that
     reports other pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimal
     metric value (the reported pairs and the decomposition then depend on
-    the deterministic tie-break).
+    the deterministic tie-break), up to ``LEX_REFINE_MAX`` per side and
+    None above.  The dual bound of ``_no_near_tie`` decides "no" where it
+    can; the re-solve loop of ``_second_best_total_p`` decides the rest.
     """
     base = BaseDistanceKind(base)
     if len(fx) and len(fy) and fx.dim != fy.dim:
@@ -169,43 +233,59 @@ def pgospa(
     with_decomposition = alpha == 2.0
 
     if ny == 0:
+        # one matching only: the empty one
         zero = 0.0 if with_decomposition else None
-        return PGospaResult(0.0, (), zero, zero, zero, zero, c, p, alpha, base.value)
+        near_tie = False if detect_near_ties else None
+        return PGospaResult(
+            0.0, (), zero, zero, zero, zero, c, p, alpha, base.value, near_tie
+        )
 
     near_tie = None
+    ry_cpa = ry * cpa
     if nx == 0:
         pairs = gamma = ()
-        total_p = false = float((ry * cpa).sum())
+        total_p = false = float(ry_cpa.sum())
         loc = mism = missed = 0.0
         if detect_near_ties:
             near_tie = False
     else:
-        Dc = np.minimum(D, c)
-        loc_term = np.minimum(rx[:, None], ry[None, :]) * Dc**p
+        # D is already clipped at c
+        loc_term = np.minimum(rx[:, None], ry[None, :]) * D**p
         mis_term = np.abs(rx[:, None] - ry[None, :]) * cpa
         pair_cost = loc_term + mis_term
-        reduced = pair_cost - (ry * cpa)[None, :]
+        reduced = pair_cost - ry_cpa[None, :]
         pairs = solve_assignment(reduced).pairs
-        matched_cols = {j for _, j in pairs}
-        total_p = float(sum(pair_cost[i, j] for i, j in pairs))
-        total_p += float(sum(ry[j] * cpa for j in range(ny) if j not in matched_cols))
+        # every row is matched, in row order: pairs[i] = (i, cols[i]), the
+        # entry at flat index at[i] of an nx x ny matrix
+        cols = np.array([j for _, j in pairs], dtype=np.intp)
+        at = np.arange(0, nx * ny, ny) + cols
+        free = np.ones(ny, dtype=bool)
+        free[cols] = False
+        total_p = _left_sum(pair_cost.take(at)) + _left_sum(ry_cpa[free])
         if with_decomposition:
-            gamma = tuple((i, j) for i, j in pairs if D[i, j] < c)
-            loc = float(sum(loc_term[i, j] for i, j in gamma))
-            mism = float(sum(mis_term[i, j] for i, j in gamma))
-            grows = {i for i, _ in gamma}
-            gcols = {j for _, j in gamma}
-            missed = float(sum(rx[i] * cpa for i in range(nx) if i not in grows))
-            false = float(sum(ry[j] * cpa for j in range(ny) if j not in gcols))
+            shown = D.take(at) < c
+            hidden = ~shown
+            gamma = tuple(pair for pair, s in zip(pairs, shown.tolist()) if s)
+            loc = _left_sum(loc_term.take(at[shown]))
+            mism = _left_sum(mis_term.take(at[shown]))
+            missed = _left_sum(rx[hidden] * cpa)
+            # columns outside gamma: the free ones and those of hidden pairs
+            free[cols[hidden]] = True
+            false = _left_sum(ry_cpa[free])
         if detect_near_ties and max(nx, ny) <= LEX_REFINE_MAX:
             # for alpha = 2 only the pairs with d < c are reported
             reported = D < c if with_decomposition else np.ones(D.shape, bool)
-            second = _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported)
-            if np.isfinite(second):
-                gap = second ** (1.0 / p) - total_p ** (1.0 / p)
-                near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
-            else:
+            if _no_near_tie(reduced, cols, reported, total_p, p):
                 near_tie = False
+            else:
+                second = _second_best_total_p(
+                    reduced, pair_cost, ry, cpa, pairs, reported
+                )
+                if np.isfinite(second):
+                    gap = second ** (1.0 / p) - total_p ** (1.0 / p)
+                    near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
+                else:
+                    near_tie = False
 
     total = float(total_p ** (1.0 / p))
     if not with_decomposition:

@@ -131,6 +131,15 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["total"] == 0.0
 
+    def test_two_empty_mbs_have_no_near_tie(self, tmp_path, capsys):
+        # one matching exists, so no other one can come near it; null is
+        # reserved for sizes above the near-tie check's limit
+        f = write(tmp_path / "x.json", mb_doc())
+        code, out, _ = run(capsys, "eval", f, f)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total"] == 0.0 and doc["near_tie"] is False
+
 
 def test_gospa_subcommand(tmp_path, capsys):
     fx = write(tmp_path / "x.json", {"points": [[0.0, 0.0]]})

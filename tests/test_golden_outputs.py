@@ -4,11 +4,14 @@ digit fails here.  A deliberate change of outputs must re-record these
 hashes and say so."""
 
 import hashlib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pgospa.cli import main
+from pgospa.model import canonical_json
 
 SWEEP_EXAMPLE1 = "3918b7661137474d5f2fad621a446842ac9a89a4974331cf2859a9e5185913c4"
 
@@ -98,3 +101,74 @@ def test_synth_run_files(run_dirs, kind):
         digest.update(str(path.relative_to(run_dirs[kind])).encode())
         digest.update(path.read_bytes())
     assert digest.hexdigest() == RUN_FILES[kind]
+
+
+# ``eval`` on seeded MB pairs of 20-64 components per side.  Every third
+# request is tie-heavy: 2-D Diracs on an integer grid (exact distance ties)
+# and a duplicated component; the others spread Gaussians with diagonal
+# covariances and off-grid Diracs.  One digest over the canonical JSON
+# printed for every request covers totals, terms, pairs and the near-tie
+# flag.  At alpha = 1 saturated pairs are reported, and swapping two of
+# them at equal cost makes every request a near tie.
+EVAL_PARAMS = {
+    ():
+        "2f4f2080eb1ddfec842888a1751296fe4dd23bee9f47efc0702d3afacf909f21",
+    ("--alpha", "1", "--p", "1"):
+        "ed74c3858cb1ce0e3678e5a6b5460a926c5d37d6b3b7fac3e2442cfd15f5336d",
+}
+# (near_tie true, near_tie false) counts
+EVAL_NEAR_TIES = {
+    (): (10, 20),
+    ("--alpha", "1", "--p", "1"): (30, 0),
+}
+EVAL_REQUESTS = 30
+
+
+def eval_doc(rng, n, ties):
+    comps = []
+    for _ in range(n):
+        r = float(rng.choice([0.3, 0.5, 0.8, 1.0]))
+        if ties and rng.random() < 0.7:
+            loc = rng.integers(0, 24, size=2).astype(float).tolist()
+            density = {"type": "dirac", "location": loc}
+        elif rng.random() < 0.3:
+            density = {"type": "dirac", "location": (rng.random(2) * 80).tolist()}
+        else:
+            mean = (rng.random(2) * (24 if ties else 80)).tolist()
+            var = rng.choice([0.5, 1.0, 2.0], size=2)
+            density = {"type": "gaussian", "mean": mean,
+                       "cov": [[float(var[0]), 0.0], [0.0, float(var[1])]]}
+        comps.append({"r": r, "density": density})
+    if ties:
+        comps[-1] = comps[0]
+    return {"components": comps}
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eval")
+    files = []
+    for k in range(EVAL_REQUESTS):
+        rng = np.random.default_rng(1000 + k)
+        nx, ny = (int(n) for n in rng.integers(20, 65, size=2))
+        pair = []
+        for side, n in (("x", nx), ("y", ny)):
+            path = root / f"{k}{side}.json"
+            doc = eval_doc(rng, n, ties=k % 3 == 0)
+            path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
+            pair.append(str(path))
+        files.append(pair)
+    return files
+
+
+@pytest.mark.parametrize("flags", list(EVAL_PARAMS))
+def test_eval_outputs(eval_files, capsys, flags):
+    digest = hashlib.sha256()
+    near_ties = []
+    for fx, fy in eval_files:
+        assert main(["eval", fx, fy, *flags]) == 0
+        out = capsys.readouterr().out
+        near_ties.append(json.loads(out)["near_tie"])
+        digest.update(out.encode())
+    assert (near_ties.count(True), near_ties.count(False)) == EVAL_NEAR_TIES[flags]
+    assert digest.hexdigest() == EVAL_PARAMS[flags]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from pgospa import (
     mbm_pgospa,
     pgospa,
 )
+from pgospa import metric
+from pgospa.assignment import solve_assignment
+from pgospa.model import mb_from_dict
 from pgospa.oracles import brute_force_assignment_sets, brute_force_pgospa
 
 from conftest import make_gaussian, make_mb, make_params
@@ -182,6 +187,113 @@ class TestPGospa:
         fx = MBDensity([BernoulliComponent(0.8, make_gaussian(rng, 2))])
         with pytest.raises(ValueError):
             pgospa(fx, fx, P1, BaseDistanceKind.EUCLIDEAN)
+
+
+def tie_heavy_doc(rng, n):
+    """MB document with grid-aligned 2-D Diracs and Gaussians, existence
+    levels including zero, and a duplicated component."""
+    comps = []
+    for _ in range(n):
+        r = float(rng.choice([0.0, 0.5, 1.0]))
+        loc = rng.integers(0, 4, size=2).astype(float).tolist()
+        if rng.random() < 0.7:
+            density = {"type": "dirac", "location": loc}
+        else:
+            var = float(rng.choice([0.25, 1.0]))
+            density = {"type": "gaussian", "mean": loc, "cov": [[var, 0.0], [0.0, var]]}
+        comps.append({"r": r, "density": density})
+    if n > 1 and rng.random() < 0.5:
+        comps[-1] = comps[0]
+    return {"components": comps}
+
+
+class TestNearTieCertificate:
+    """The dual certificate may only answer "no near tie"; every other case
+    runs the re-solve loop ``_second_best_total_p``, so the flag must equal
+    the loop's on every input."""
+
+    @pytest.fixture
+    def outcomes(self, monkeypatch):
+        seen = []
+        certify = metric._no_near_tie
+
+        def recorded(*args):
+            seen.append(certify(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(metric, "_no_near_tie", recorded)
+        return seen
+
+    @staticmethod
+    def loop_only(monkeypatch, fx, fy, params):
+        with monkeypatch.context() as patch:
+            patch.setattr(metric, "_no_near_tie", lambda *args: False)
+            return pgospa(fx, fy, params, detect_near_ties=True)
+
+    def test_flag_equals_loop_on_tie_heavy_pairs(self, monkeypatch, outcomes):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            nx, ny = (int(n) for n in rng.integers(0, 7, size=2))
+            fx = mb_from_dict(tie_heavy_doc(rng, nx), allow_zero_existence=True)
+            fy = mb_from_dict(tie_heavy_doc(rng, ny), allow_zero_existence=True)
+            c = float(rng.choice([0.5, 1.0, 1.5, 3.0]))
+            for alpha in (2.0, 1.0, 0.5):
+                for p in (1.0, 2.0, 3.0):
+                    params = MetricParams(c=c, p=p, alpha=alpha)
+                    res = pgospa(fx, fy, params, detect_near_ties=True)
+                    assert res == self.loop_only(monkeypatch, fx, fy, params)
+        assert outcomes.count(True) > 0  # certified "no near tie"
+        assert outcomes.count(False) > 0  # undecided: the loop decides
+
+    def test_true_cases_reach_the_loop(self, outcomes):
+        res = pgospa(dirac_mb(0.0, 4.0), dirac_mb(2.0), P1, detect_near_ties=True)
+        assert res.near_tie is True and outcomes == [False]
+        params = MetricParams(c=5.0, p=2.0, alpha=1.0)
+        res = pgospa(dirac_mb(0.0), dirac_mb(100.0, 200.0), params, detect_near_ties=True)
+        assert res.near_tie is True and outcomes == [False, False]
+
+    def test_bound_holds_on_small_matrices(self):
+        # integer costs with ties and column offsets (negative duals); the
+        # best matching that reports other pairs is found by enumeration
+        rng = np.random.default_rng(3)
+        certified = 0
+        for trial in range(600):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m, 6))
+            offsets = rng.integers(0, 4, size=n).astype(float)
+            C = rng.integers(0, 4, size=(m, n)).astype(float) - offsets
+            reported = rng.random((m, n)) < 0.5 if trial % 2 else np.ones((m, n), bool)
+            pairs = solve_assignment(C).pairs
+            cols = np.array([j for _, j in pairs])
+            best = C[np.arange(m), cols].sum()
+            shown = {pair for pair in pairs if reported[pair]}
+            second = min(
+                (
+                    C[np.arange(m), perm].sum()
+                    for perm in itertools.permutations(range(n), m)
+                    if {(i, j) for i, j in enumerate(perm) if reported[i, j]} != shown
+                ),
+                default=np.inf,
+            )
+            if metric._no_near_tie(C, cols, reported, best + offsets.sum(), 1.0):
+                certified += 1
+                assert second - best > 2 * metric.NEAR_TIE_ABS_TOL
+        assert 100 < certified < 500
+
+    def test_clear_optimum_is_certified(self, outcomes):
+        # each x component has one y component within c; the third y is
+        # far from both
+        res = pgospa(dirac_mb(0.0, 10.0), dirac_mb(0.5, 10.5, 30.0), P1, detect_near_ties=True)
+        assert res.near_tie is False and outcomes == [True]
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.0])
+    def test_overflowing_cutoff_agrees_with_loop(self, monkeypatch, outcomes, alpha):
+        # c^p / alpha is near the largest float: slacks and bounds overflow
+        fx, fy = dirac_mb(0.0, 3.0), dirac_mb(1.0, 2.0, 1e3)
+        params = MetricParams(c=1.3e154, p=2.0, alpha=alpha)
+        res = pgospa(fx, fy, params, detect_near_ties=True)
+        assert len(outcomes) == 1
+        assert res == self.loop_only(monkeypatch, fx, fy, params)
 
 
 class TestGospa:
