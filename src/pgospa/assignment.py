@@ -46,7 +46,8 @@ def _left_sum(values) -> float:
     only change the sign of a zero partial sum, which ``+ 0.0`` undoes."""
     n = len(values)
     if n > 1:
-        values = np.add.accumulate(values)
+        with np.errstate(over="ignore"):  # an overflow is inf, as with floats
+            values = np.add.accumulate(values)
     return float(values[-1]) + 0.0 if n else 0.0
 
 

@@ -4,7 +4,9 @@ Subcommands: ``eval`` (alias ``gospa``), ``sweep-example1``,
 ``sweep-example2``, ``montecarlo``, ``synth-runs``, ``selfcheck``, and
 test-only ``oracle`` subcommands.  ``eval`` takes MB, MB-mixture or
 point-set files; a point-set result is by definition P-GOSPA on the lifted
-MB densities (unit existence, Dirac densities).  Single results are printed
+MB densities (unit existence, Dirac densities).  ``sweep-example1`` takes
+one distance row and the pair formula of ``pgospa`` over its whole grid,
+with the bits of one 1 x 1 call per point.  Single results are printed
 as JSON; series are written as CSV with 12-significant-digit decimals and
 LF line endings, so repeated runs with identical inputs are byte-identical.
 
@@ -23,20 +25,19 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import montecarlo
-from .distances import BaseDistanceKind
+from .distances import BaseDistanceKind, pairwise_base_distance
 # mbm_pgospa is not called here; perfbench/tracing.py wraps it by this name
-from .metric import gospa, mbm_pgospa, pgospa  # noqa: F401
+from .metric import _pair_terms, gospa, mbm_pgospa, pgospa  # noqa: F401
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
-    DiracDensity,
-    GaussianDensity,
     MBDensity,
     MetricParams,
     SchemaError,
+    _point_masses,
     canonical_json,
     load_document,
     mb_from_dict,
@@ -178,20 +179,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _example1_totals():
+    """The r grid, the sigma^2 grid and the (r, sigma^2) grid of metric values
+    of ``sweep-example1``: one distance row, then ``pgospa``'s pair formula."""
+    r_grid, s2_grid = EXAMPLE1_R_SWEEP.values(), EXAMPLE1_SIGMA2_SWEEP.values()
+    n, (c, p, alpha) = len(s2_grid), astuple(EXAMPLE1_PARAMS)
+    truth = _point_masses(np.zeros((1, 1)))
+    estimates = MBDensity.from_arrays(
+        np.ones(n), np.full((n, 1), 2.0), np.reshape(s2_grid, (n, 1, 1)), np.zeros(n, bool)
+    )
+    D = pairwise_base_distance(truth, estimates, BaseDistanceKind.W2, c=c)
+    loc, mis = _pair_terms(truth.r, np.array(r_grid)[:, None], D, p, c**p / alpha)
+    return r_grid, s2_grid, [[t ** (1.0 / p) for t in row] for row in (loc + mis).tolist()]
+
+
 def cmd_sweep_example1(args) -> int:
     """P-GOSPA for a 1-D single-Bernoulli scenario over a grid of existence
     probability r and Gaussian variance sigma^2 (truth: point mass at 0,
     estimate mean 2; c=5, p=1, alpha=2)."""
-    truth = MBDensity([BernoulliComponent(1.0, DiracDensity([0.0]))])
-    sigma2_grid = EXAMPLE1_SIGMA2_SWEEP.values()
-    densities = {s2: GaussianDensity([2.0], [[s2]]) for s2 in sigma2_grid}
+    r_grid, s2_grid, totals = _example1_totals()
     with _open_out(args.out) as fh:
         fh.write("r,sigma2,pgospa\n")
-        for r in EXAMPLE1_R_SWEEP.values():
-            for s2 in sigma2_grid:
-                est = MBDensity([BernoulliComponent(r, densities[s2])])
-                total = pgospa(truth, est, EXAMPLE1_PARAMS).total
-                fh.write(f"{r:.12g},{s2:.12g},{total:.12g}\n")
+        for r, row in zip(r_grid, totals):
+            fh.writelines(f"{r:.12g},{s2:.12g},{t:.12g}\n" for s2, t in zip(s2_grid, row))
     return 0
 
 

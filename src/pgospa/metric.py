@@ -31,7 +31,9 @@ its result is by definition the metric above on the lifted MB densities
 (all existence probabilities one, Dirac densities at the points) with the
 Euclidean base distance, and it calls ``pgospa`` on exactly those.
 Totals and terms are summed strictly left to right over index arrays, in
-the order of the matched pairs and then of the unmatched indices.
+the order of the matched pairs and then of the unmatched indices.  One
+elementwise helper, ``_pair_terms``, is the pair cost of ``pgospa``, of
+``bernoulli_pgospa`` (1 x 1, bit for bit) and of the ``sweep-example1`` grid.
 
 The optional near-tie flag asks whether a matching that reports other
 pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimum.  A lower bound
@@ -58,10 +60,10 @@ from .distances import BaseDistanceKind, base_distance, pairwise_base_distance
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
-    DiracDensity,
     MBDensity,
     MBMixture,
     MetricParams,
+    _point_masses,
 )
 
 __all__ = ["PGospaResult", "bernoulli_pgospa", "pgospa", "gospa", "mbm_pgospa"]
@@ -115,12 +117,19 @@ def bernoulli_pgospa(
     base: BaseDistanceKind = BaseDistanceKind.W2,
 ) -> float:
     """Metric between two single-Bernoulli densities:
-    (min(rx, ry) * min(d, c)^p + |rx - ry| * c^p/alpha)^(1/p)."""
-    d = base_distance(bx.density, by.density, base)
-    dc = min(d, params.c)
-    cpa = params.c**params.p / params.alpha
-    value = min(bx.r, by.r) * dc**params.p + abs(bx.r - by.r) * cpa
-    return float(value ** (1.0 / params.p))
+    (min(rx, ry) * min(d, c)^p + |rx - ry| * c^p/alpha)^(1/p), by the pair
+    formula of ``pgospa``, whose 1 x 1 total it equals bit for bit."""
+    p, c = params.p, params.c
+    D = np.minimum([base_distance(bx.density, by.density, base)], c)
+    loc, mis = _pair_terms(bx.r, by.r, D, p, c**p / params.alpha)
+    return float(float((loc + mis)[0]) ** (1.0 / p))
+
+
+def _pair_terms(rx, ry, D, p, cpa):
+    """The two parts of a matched pair's cost, elementwise over broadcast
+    arrays: min(rx, ry) * D^p and |rx - ry| * c^p/alpha, with ``D`` already
+    clipped at c and ``cpa`` = c^p/alpha."""
+    return np.minimum(rx, ry) * D**p, np.abs(rx - ry) * cpa
 
 
 def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
@@ -128,7 +137,8 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
     reported pairs (the pairs where the boolean matrix ``reported`` is
     true), or inf."""
     n = reduced.shape[1]
-    forbid_bound = 2.0 * float(np.abs(reduced).sum()) + 1.0
+    with np.errstate(over="ignore"):  # inf forbids the entry all the same
+        forbid_bound = 2.0 * float(np.abs(reduced).sum()) + 1.0
     best = np.inf
     shown = {pair for pair in pairs if reported[pair]}
     for i, j in pairs:
@@ -249,9 +259,7 @@ def pgospa(
         if detect_near_ties:
             near_tie = False
     else:
-        # D is already clipped at c
-        loc_term = np.minimum(rx[:, None], ry[None, :]) * D**p
-        mis_term = np.abs(rx[:, None] - ry[None, :]) * cpa
+        loc_term, mis_term = _pair_terms(rx[:, None], ry[None, :], D, p, cpa)
         pair_cost = loc_term + mis_term
         reduced = pair_cost - ry_cpa[None, :]
         pairs = solve_assignment(reduced).pairs
@@ -305,7 +313,8 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
     By definition this is ``pgospa`` with the Euclidean base distance on
     the lifted MB densities (unit existence probabilities, Dirac densities
     at the points), which it calls; the existence-mismatch term is
-    identically zero.
+    identically zero.  The lift validates the points (``SchemaError``) and
+    ``pgospa`` their dimensions (``DimensionMismatchError``).
     """
     X = np.asarray(x_points, dtype=float)
     Y = np.asarray(y_points, dtype=float)
@@ -313,19 +322,7 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
         X = X.reshape(0, Y.shape[1] if Y.ndim == 2 and Y.size else 0)
     if Y.size == 0:
         Y = Y.reshape(0, X.shape[1] if X.ndim == 2 and X.size else 0)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("point sets must be 2-D arrays of state vectors")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise ValueError("point sets contain non-finite entries")
-    if len(X) and len(Y) and X.shape[1] != Y.shape[1]:
-        raise DimensionMismatchError(
-            f"point sets have dimensions {X.shape[1]} and {Y.shape[1]}"
-        )
-
-    def lift(points):
-        return MBDensity(BernoulliComponent(1.0, DiracDensity(x)) for x in points)
-
-    return pgospa(lift(X), lift(Y), params, BaseDistanceKind.EUCLIDEAN)
+    return pgospa(_point_masses(X), _point_masses(Y), params, BaseDistanceKind.EUCLIDEAN)
 
 
 def mbm_pgospa(

@@ -5,13 +5,14 @@ existence probability ``r`` with a single-object density (Gaussian or a
 Dirac point mass).  ``MBDensity`` holds it as four arrays, its only state:
 ``r`` (n,), ``means`` (n, D), ``covs`` (n, D, D), zero for a Dirac, and the
 Dirac mask ``dirac`` (n,); ``components``, ``densities`` and ``mb[k]`` are
-views built from them.  A clean document is validated in one structural
-pass over its components and one check per field stacked over the whole
-document, with its covariances put in normal form in one batched pass;
-a per-field walk decides faulty and odd documents and is the only code
-that reports a fault.  An MB mixture adds normalized weights over several
-MB densities.  All types are immutable after construction and safe to share
-across threads; numpy arrays are stored read-only.
+views built from them.  ``MBDensity.from_arrays`` builds one from copies of
+those arrays, checked in one pass that also puts the covariances in normal
+form in one batched call.  A clean document takes one structural pass over
+its components, then the same checks on its stacked fields; a per-field
+walk decides faulty and odd documents and is the only code that reports a
+fault.  An MB mixture adds normalized weights over several MB densities.
+All types are immutable after construction and safe to share across
+threads; numpy arrays are stored read-only.
 
 JSON schemas
 ------------
@@ -145,11 +146,11 @@ def _state_vector(value, what: str) -> np.ndarray:
 
 
 def _psd_normal_form(covs: np.ndarray) -> np.ndarray:
-    """Symmetrize a covariance (D, D) or a stack (n, D, D) and clamp
-    eigenvalues in [-COV_EIG_TOL, 0) to zero, clamping only the matrices
-    that need it.  Batched LAPACK calls give the bits of per-matrix ones,
-    and the result is a fixed point of this function, which keeps
-    serialized documents byte-stable under repeated load/validate cycles.
+    """Symmetrize a stack of covariances (n, D, D) and clamp eigenvalues in
+    [-COV_EIG_TOL, 0) to zero, clamping only the matrices that need it.
+    Batched LAPACK calls give the bits of per-matrix ones, and the result
+    is a fixed point of this function, which keeps serialized documents
+    byte-stable under repeated load/validate cycles.
     """
     asym = np.abs(covs - covs.swapaxes(-1, -2))
     if asym.max() > COV_SYMMETRY_TOL:
@@ -159,8 +160,6 @@ def _psd_normal_form(covs: np.ndarray) -> np.ndarray:
             f"covariance is not symmetric (max asymmetry {a:.3g} > {COV_SYMMETRY_TOL:g})"
         )
     covs = (covs + covs.swapaxes(-1, -2)) / 2.0
-    if covs.ndim == 2:
-        return _clamp_psd(covs)
     for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] < 0.0):
         covs[i] = _clamp_psd(covs[i])
     return covs
@@ -213,7 +212,7 @@ class GaussianDensity:
     def __init__(self, mean, cov):
         mean, cov = _gaussian_fields(mean, cov)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _readonly(_psd_normal_form(cov)))
+        object.__setattr__(self, "cov", _readonly(_psd_normal_form(cov[None])[0]))
 
     @property
     def dim(self) -> int:
@@ -262,36 +261,42 @@ class BernoulliComponent:
         return self.density.dim
 
 
-def _stack_means(means: list) -> np.ndarray:
-    """Stack n checked 1-D vectors into (n, D); vectors of several lengths
-    are a dimension mismatch."""
-    if not means:
-        return np.zeros((0, 0))
+def _stack(rs: list, means: list, covs: list) -> tuple:
+    """The (r, means, covs, dirac) arrays of n checked components; a None
+    covariance marks a Dirac, and means of several lengths a mismatch."""
     try:
-        return np.array(means, dtype=float)
+        stacked = np.array(means, dtype=float) if means else np.zeros((0, 0))
     except ValueError:
         dims = sorted({m.shape[0] for m in means})
         raise DimensionMismatchError(f"components mix state dimensions {dims}") from None
-
-
-def _stack_covs(covs: list, dim: int) -> np.ndarray:
-    """Stack n covariances (D, D), None for a Dirac, into (n, D, D) with
-    zero matrices for the Diracs."""
-    if not covs:
-        return np.zeros((0, dim, dim))
+    dim = stacked.shape[1]
     zero = np.zeros((dim, dim))
-    return np.concatenate([zero if c is None else c for c in covs]).reshape(-1, dim, dim)
+    cov_stack = np.concatenate([zero if c is None else c for c in covs] or [zero[:0]])
+    dirac = np.array([c is None for c in covs], dtype=bool)
+    return np.array(rs, dtype=float), stacked, cov_stack.reshape(len(covs), dim, dim), dirac
 
 
-def _normal_covs(covs: np.ndarray, dirac: np.ndarray) -> np.ndarray:
-    """``covs`` with its Gaussian rows in PSD normal form; Dirac rows stay
-    zero."""
-    if dirac.all():
-        return covs
+def _checked_fields(r, means, covs, dirac) -> tuple:
+    """The four arrays of an MB density, checked as ``MBDensity.from_arrays``
+    documents, with the Gaussian covariances put in normal form in place."""
+    n, dim = r.size, means.shape[-1] if means.ndim == 2 else 0
+    shapes = (r.shape, dirac.shape, means.shape, covs.shape[:1])
+    if shapes != ((n,), (n,), (n, dim), (n,)) or (n and not dim) or dirac.dtype != bool:
+        raise SchemaError(f"r, dirac, means and covs must be shaped (n,), boolean (n,), "
+                          f"(n, D >= 1) and (n, D, D), got {shapes[:3]} and {covs.shape}")
+    if covs.shape[1:] != (dim, dim):
+        raise DimensionMismatchError(f"covariances of shape {covs.shape[1:]} for {dim}-D means")
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise SchemaError("means or covariances contain non-finite entries")
+    if n and not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
+        raise SchemaError("existence probability out of range [0, 1]")
     if not dirac.any():
-        return _psd_normal_form(covs)
-    covs[~dirac] = _psd_normal_form(covs[~dirac])
-    return covs
+        return r, means, _psd_normal_form(covs) if n else covs, dirac
+    if covs[dirac].any():
+        raise SchemaError("a dirac component has a non-zero covariance")
+    if not dirac.all():
+        covs[~dirac] = _psd_normal_form(covs[~dirac])
+    return r, means, covs, dirac
 
 
 def _fill(mb, r, means, covs, dirac):
@@ -316,11 +321,21 @@ class MBDensity:
     def __init__(self, components=()):
         components = tuple(components)
         dens = [c.density for c in components]
-        dirac = [isinstance(d, DiracDensity) for d in dens]
-        means = _stack_means([d.location if k else d.mean for d, k in zip(dens, dirac)])
-        covs = _stack_covs([None if k else d.cov for d, k in zip(dens, dirac)], means.shape[1])
-        r = np.array([c.r for c in components], dtype=float)
-        _fill(self, r, means, covs, np.array(dirac, dtype=bool))
+        covs = [None if isinstance(d, DiracDensity) else d.cov for d in dens]
+        means = [d.location if c is None else d.mean for d, c in zip(dens, covs)]
+        _fill(self, *_stack([c.r for c in components], means, covs))
+
+    @classmethod
+    def from_arrays(cls, r, means, covs, dirac) -> "MBDensity":
+        """The MB density holding copies of its four arrays, all finite: r (n,)
+        in [0, 1], means (n, D >= 1), covs (n, D, D), zero for a Dirac, and the
+        boolean Dirac mask (n,).  Gaussian covariances are put in normal form in
+        one batched pass.  Raises ``SchemaError`` or ``DimensionMismatchError``."""
+        try:
+            r, means, covs = (np.array(a, dtype=float) for a in (r, means, covs))
+        except (TypeError, ValueError):
+            raise SchemaError("r, means and covs must be arrays of numbers") from None
+        return _fill(object.__new__(cls), *_checked_fields(r, means, covs, np.array(dirac)))
 
     def __len__(self) -> int:
         return len(self.r)
@@ -346,6 +361,12 @@ class MBDensity:
     @property
     def densities(self) -> tuple:
         return tuple(c.density for c in self.components)
+
+
+def _point_masses(points: np.ndarray) -> MBDensity:
+    """Unit-existence Dirac components at the rows of an (n, D) array."""
+    n, shape = points.shape[:1], points.shape[1:]
+    return MBDensity.from_arrays(np.ones(n), points, np.zeros(n + shape * 2), np.ones(n, bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,8 +445,9 @@ def append_zero_components(mb: MBDensity, k: int, dim: int | None = None) -> MBD
     if k == 0:
         return mb
     d = mb.dim if mb.dim is not None else (dim if dim is not None else 1)
-    pad = BernoulliComponent(0.0, DiracDensity(np.zeros(d)))
-    return MBDensity(mb.components + (pad,) * k)
+    own = (mb.r, mb.means.reshape(-1, d), mb.covs.reshape(-1, d, d), mb.dirac)
+    pad = (np.zeros(k), np.zeros((k, d)), np.zeros((k, d, d)), np.ones(k, dtype=bool))
+    return MBDensity.from_arrays(*map(np.concatenate, zip(own, pad)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +467,15 @@ _DIRAC_KEYS = frozenset({"type", "location"})
 
 
 def _number_stack(values: list, depth: int):
-    """The ``depth``-deep nested lists ``values`` as one finite float array,
-    or None unless every entry is a plain int or float: no boolean, string,
-    null or numpy scalar."""
+    """The ``depth``-deep nested lists ``values`` as one float array, or None
+    unless every entry is a plain int or float: no boolean, string, null or
+    numpy scalar."""
     if not _NUMBER_TYPES.issuperset(map(type, _leaves(values, depth))):
         return None
     arr = np.array(values)
     if arr.dtype.kind not in "if":  # integers beyond 64 bits: the walk converts them
         return None
-    arr = arr.astype(float, copy=False)
-    return arr if np.isfinite(arr).all() else None
+    return arr.astype(float, copy=False)
 
 
 def _stacked_fields(raw: list, allow_zero_existence: bool):
@@ -482,23 +503,17 @@ def _stacked_fields(raw: list, allow_zero_existence: bool):
                 return None
             rs.append(item["r"])
             dirac.append(kind == "dirac")
-        r = _number_stack(rs, 1)
-        if r is None or r.max() > 1.0 or r.min() < 0.0:
-            return None
-        if r.min() == 0.0 and not allow_zero_existence:
-            return None
-        means = _number_stack(means, 2)
-        if means is None or means.shape[1] == 0:
+        r, means = _number_stack(rs, 1), _number_stack(means, 2)
+        if r is None or means is None or (r.min() == 0.0 and not allow_zero_existence):
             return None
         n, dim = means.shape
+        gauss = _number_stack(covs, 3) if covs else np.zeros((0, dim, dim))
+        if gauss is None:
+            return None
         dirac = np.array(dirac, dtype=bool)
-        cov_stack = np.zeros((n, dim, dim))
-        if covs:
-            covs = _number_stack(covs, 3)
-            if covs is None or covs.shape[1:] != (dim, dim):
-                return None
-            cov_stack[~dirac] = covs
-        return r, means, _normal_covs(cov_stack, dirac), dirac
+        cov_stack = np.zeros((n,) + gauss.shape[1:])
+        cov_stack[~dirac] = gauss
+        return _checked_fields(r, means, cov_stack, dirac)
     except (TypeError, ValueError):  # non-iterables, ragged stacks, SchemaError
         return None
 
@@ -532,10 +547,7 @@ def _walked_fields(raw: list, allow_zero_existence: bool):
         rs.append(r)
         means.append(mean)
         covs.append(cov)
-    stacked = _stack_means(means)
-    cov_stack = _stack_covs(covs, stacked.shape[1])
-    dirac = np.array([c is None for c in covs], dtype=bool)
-    return np.array(rs, dtype=float), stacked, _normal_covs(cov_stack, dirac), dirac
+    return _checked_fields(*_stack(rs, means, covs))
 
 
 def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:

@@ -5,12 +5,22 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pgospa import cli
 from pgospa.cli import main
-from pgospa.model import canonical_json
+from pgospa.distances import pairwise_base_distance
+from pgospa.metric import pgospa
+from pgospa.model import (
+    BernoulliComponent,
+    DiracDensity,
+    GaussianDensity,
+    MBDensity,
+    canonical_json,
+)
 
 
 def write(path: Path, doc) -> str:
@@ -170,6 +180,29 @@ class TestSweeps:
         for (r, s2), v in list(table.items())[::501]:
             expect = min(5.0, math.sqrt(4.0 + s2)) * r + 2.5 * (1.0 - r)
             assert v == pytest.approx(expect, abs=1e-9)
+
+    def test_example1_totals_are_pgospa_bits(self):
+        # the CSV pins 12 digits; the totals before formatting must be the
+        # bits of one 1 x 1 pgospa call per grid point
+        r_grid, s2_grid, totals = cli._example1_totals()
+        truth = MBDensity([BernoulliComponent(1.0, DiracDensity([0.0]))])
+        rng = np.random.default_rng(11)
+        for i, j in zip(rng.integers(0, len(r_grid), 2000), rng.integers(0, len(s2_grid), 2000)):
+            r, s2 = r_grid[i], s2_grid[j]
+            est = MBDensity([BernoulliComponent(r, GaussianDensity([2.0], [[s2]]))])
+            assert totals[i][j] == pgospa(truth, est, cli.EXAMPLE1_PARAMS).total
+
+    def test_example1_takes_one_distance_row(self, tmp_path, capsys, monkeypatch):
+        shapes = []
+
+        def counted(xs, ys, *args, **kwargs):
+            out = pairwise_base_distance(xs, ys, *args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(cli, "pairwise_base_distance", counted)
+        assert run(capsys, "sweep-example1", "--out", str(tmp_path / "ex1.csv"))[0] == 0
+        assert shapes == [(1, 301)]
 
     def test_example2_rows(self, tmp_path, capsys):
         out_csv = tmp_path / "ex2.csv"
@@ -390,6 +423,20 @@ def test_huge_cutoff_near_tie_check_exits_0(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["total"] == 1.0
+
+
+def test_huge_cutoff_prints_no_overflow_warning(tmp_path, capsys):
+    # reduced costs near -c^p / alpha sum to -inf, and so does the forbid bound
+    fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0), dirac(1.0, 1.0)))
+    fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0), dirac(1.0, 1.0), dirac(1.0, 2.0)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "eval", fx, fy, "--c", "1.3e154", "--p", "2", "--alpha", "1"
+        )
+    assert code == 0 and err == ""
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(out)["matched_pairs"] == [[0, 0], [1, 1]]
 
 
 def test_overflowing_mean_gap_saturates_silently(tmp_path, capsys):

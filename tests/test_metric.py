@@ -56,6 +56,20 @@ class TestBernoulli:
             params = make_params(rng)
             assert bernoulli_pgospa(bx, by, params) == bernoulli_pgospa(by, bx, params)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_equals_pgospa_bit_for_bit(self, p):
+        # base_distance's canonical order: the Dirac is x, the Gaussian y
+        rng = np.random.default_rng([20240917, int(p)])
+        for _ in range(700):
+            dim = int(rng.integers(1, 4))
+            bx = BernoulliComponent(float(rng.uniform(0.05, 1)), DiracDensity(rng.uniform(-5, 5, dim)))
+            by = BernoulliComponent(float(rng.uniform(0.05, 1)), make_gaussian(rng, dim))
+            params = MetricParams(
+                c=float(rng.uniform(0.5, 15.0)), p=p, alpha=float(rng.uniform(0.1, 2.0))
+            )
+            want = pgospa(MBDensity([bx]), MBDensity([by]), params).total
+            assert bernoulli_pgospa(bx, by, params) == want
+
 
 class TestPGospa:
     def test_both_empty(self):

@@ -552,3 +552,112 @@ def test_integers_beyond_64_bits_take_the_walk():
     comps[MID] = with_density(comps[MID], cov=identity_with(10**30))
     fast, arrays = fast_and_walk(mb_doc(comps))
     assert not fast and arrays[2][MID][1, 1] == 1e30
+
+
+# ---------------------------------------------------------------------------
+# MBDensity.from_arrays: the validated array constructor
+
+
+def clamp_band_components(n=12, dim=3, seed=5):
+    rng = np.random.default_rng(seed)
+    return [gauss(float(rng.uniform(0.05, 1.0)), rng.uniform(-5.0, 5.0, dim).tolist(),
+                  clamp_band_cov(rng, dim)) for _ in range(n)]
+
+
+def raw_arrays(raw):
+    """The four arrays of a clean components list, read as they are: no
+    covariance in normal form."""
+    dirac = np.array([c["density"]["type"] == "dirac" for c in raw])
+    means = np.array([c["density"].get("mean", c["density"].get("location")) for c in raw])
+    covs = np.zeros((len(raw),) + means.shape[1:] * 2)
+    if not dirac.all():
+        covs[~dirac] = [c["density"]["cov"] for c in raw if "cov" in c["density"]]
+    return np.array([c["r"] for c in raw]), means, covs, dirac
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [clean_components(), clean_components(diracs=range(20)), clean_components(diracs=()),
+     clamp_band_components()],
+    ids=["mixed", "all-dirac", "all-gaussian", "clamp-band"],
+)
+def test_from_arrays_equals_the_walk(raw):
+    walked = model._walked_fields(raw, False)
+    mb = MBDensity.from_arrays(*raw_arrays(raw))
+    assert_same_arrays((mb.r, mb.means, mb.covs, mb.dirac), walked)
+    again = MBDensity.from_arrays(*walked)
+    assert_same_arrays((again.r, again.means, again.covs, again.dirac), walked)
+
+
+def test_from_arrays_is_read_only_and_does_not_alias():
+    arrays = raw_arrays(clean_components())
+    mb = MBDensity.from_arrays(*arrays)
+    for got, given in zip((mb.r, mb.means, mb.covs, mb.dirac), arrays):
+        assert not got.flags.writeable and not np.shares_memory(got, given)
+    kept = [a.copy() for a in (mb.r, mb.means, mb.covs, mb.dirac)]
+    for given in arrays:
+        given[...] = given[0]
+    assert_same_arrays((mb.r, mb.means, mb.covs, mb.dirac), kept)
+    with pytest.raises(ValueError):
+        mb.means[0, 0] = 1.0
+
+
+def test_from_arrays_empty_and_padded():
+    empty = MBDensity.from_arrays(np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)),
+                                  np.zeros(0, dtype=bool))
+    assert len(empty) == 0 and empty.dim is None
+    mb = mb_from_dict(mb_doc(clean_components()))
+    padded = append_zero_components(mb, 2)
+    assert padded.r.tolist() == mb.r.tolist() + [0.0, 0.0]
+    assert padded.dirac[20:].all() and not padded.covs[20:].any()
+    assert_same_arrays((padded.means[:20], padded.covs[:20]), (mb.means, mb.covs))
+
+
+def _bad_arrays(**change):
+    r, means, covs, dirac = raw_arrays(clean_components(n=4, diracs=(1,)))
+    fields = {"r": r, "means": means, "covs": covs, "dirac": dirac}
+    for name, edit in change.items():
+        fields[name] = edit(fields[name].copy())
+    return fields
+
+
+def _set(index, value):
+    def edit(arr):
+        arr[index] = value
+        return arr
+    return edit
+
+
+@pytest.mark.parametrize(
+    "change, error, match",
+    [
+        ({"r": _set(2, 1.5)}, SchemaError, "out of range"),
+        ({"r": _set(0, -0.1)}, SchemaError, "out of range"),
+        ({"r": _set(3, np.nan)}, SchemaError, "out of range"),
+        ({"r": _set(3, np.inf)}, SchemaError, "out of range"),
+        ({"r": lambda r: r[:3]}, SchemaError, "must be shaped"),
+        ({"r": lambda r: r[:, None]}, SchemaError, "must be shaped"),
+        ({"dirac": lambda d: d.astype(int)}, SchemaError, "boolean"),
+        ({"means": lambda m: m[:, 0]}, SchemaError, "must be shaped"),
+        ({"means": lambda m: m[:, :0]}, SchemaError, "must be shaped"),
+        ({"means": lambda m: m[:3]}, SchemaError, "must be shaped"),
+        ({"means": _set((2, 1), np.inf)}, SchemaError, "non-finite"),
+        ({"covs": lambda c: c[:3]}, SchemaError, "must be shaped"),
+        ({"covs": lambda c: c[:, :, :3]}, DimensionMismatchError, "covariances of shape"),
+        ({"covs": lambda c: c[:, :3, :3]}, DimensionMismatchError, "covariances of shape"),
+        ({"covs": _set((0, 1, 1), np.nan)}, SchemaError, "non-finite"),
+        ({"covs": _set((1, 0, 0), 1.0)}, SchemaError, "dirac"),
+        ({"covs": _set((2, 0, 1), 0.5)}, SchemaError, "not symmetric"),
+        ({"covs": _set(2, below_band_cov())}, SchemaError, "eigenvalue"),
+    ],
+)
+def test_from_arrays_rejects(change, error, match):
+    fields = _bad_arrays(**change)
+    with pytest.raises(error, match=match):
+        MBDensity.from_arrays(**fields)
+
+
+def test_from_arrays_rejects_non_numbers():
+    r, means, covs, dirac = raw_arrays(clean_components(n=2, diracs=()))
+    with pytest.raises(SchemaError, match="arrays of numbers"):
+        MBDensity.from_arrays(r, [[0.0, "x", 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], covs, dirac)
