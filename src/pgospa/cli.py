@@ -25,7 +25,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 from . import montecarlo
 from .distances import BaseDistanceKind, pairwise_base_distance
@@ -56,30 +56,16 @@ from .selfcheck import faulty_solver, run_selfcheck
 EXAMPLE1_PARAMS = MetricParams(c=5.0, p=1.0, alpha=2.0)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A swept scenario variable on an inclusive decimal grid."""
-
-    variable: str  # "r" | "sigma2" | "c"
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0 or self.start > self.stop:
-            raise ValueError("sweep requires step > 0 and start <= stop")
-
-    def values(self):
-        # integer stepping keeps the grid exactly on decimal ticks
-        scale = round(1.0 / self.step)
-        lo = round(self.start * scale)
-        hi = round(self.stop * scale)
-        return [k / scale for k in range(lo, hi + 1)]
+def _ticks(start, stop, step) -> tuple:
+    """The inclusive decimal grid start, start + step, ..., stop; integer
+    stepping keeps it exactly on the ticks."""
+    scale = round(1.0 / step)
+    return tuple(k / scale for k in range(round(start * scale), round(stop * scale) + 1))
 
 
-EXAMPLE1_R_SWEEP = SweepSpec("r", 0.0, 1.0, 0.01)
-EXAMPLE1_SIGMA2_SWEEP = SweepSpec("sigma2", 0.0, 30.0, 0.1)
-EXAMPLE2_C_SWEEP = SweepSpec("c", 0.1, 10.0, 0.1)
+EXAMPLE1_R_SWEEP = _ticks(0.0, 1.0, 0.01)
+EXAMPLE1_SIGMA2_SWEEP = _ticks(0.0, 30.0, 0.1)
+EXAMPLE2_C_SWEEP = _ticks(0.1, 10.0, 0.1)
 
 
 def _add_param_flags(sub):
@@ -182,7 +168,7 @@ def cmd_eval(args) -> int:
 def _example1_totals():
     """The r grid, the sigma^2 grid and the (r, sigma^2) grid of metric values
     of ``sweep-example1``: one distance row, then ``pgospa``'s pair formula."""
-    r_grid, s2_grid = EXAMPLE1_R_SWEEP.values(), EXAMPLE1_SIGMA2_SWEEP.values()
+    r_grid, s2_grid = EXAMPLE1_R_SWEEP, EXAMPLE1_SIGMA2_SWEEP
     n, (c, p, alpha) = len(s2_grid), astuple(EXAMPLE1_PARAMS)
     truth = _point_masses(np.zeros((1, 1)))
     estimates = MBDensity.from_arrays(
@@ -223,7 +209,7 @@ def cmd_sweep_example2(args) -> int:
     base = BaseDistanceKind(args.base)
     with _open_out(args.out) as fh:
         fh.write("c,total,localization,existence_mismatch,missed,false\n")
-        for c in EXAMPLE2_C_SWEEP.values():
+        for c in EXAMPLE2_C_SWEEP:
             res = pgospa(fx, fy, MetricParams(c=c, p=args.p, alpha=2.0), base)
             fh.write(
                 f"{c:.12g},{res.total:.12g},{res.localization:.12g},"

@@ -20,15 +20,20 @@ clamped at zero (tolerance 1e-9), which is robust at the small state
 dimensions typical of tracking problems.
 
 The metric only uses ``min(d, c)``, so ``pairwise_base_distance`` takes an
-optional cut-off ``c`` and then returns the clipped matrix.  For W2 in two
-or more dimensions it is gated: W2^2 is ||mx - my||^2 plus the Bures term,
-which is non-negative, so a pair whose mean gap alone reaches c (with a
-slack for rounding, see ``W2_GATE_SLACK``) saturates, and its eigen-solve
-is skipped.  The remaining pairs are computed exactly as without ``c``,
-so the clipped matrix is bit-identical to ``np.minimum(D, c)`` of the full
-one.  Where ||mx - my||^2 overflows but the coordinate differences do not,
-the distance is taken in scaled form; an overflowing coordinate difference
-gives an infinite, hence saturated, distance.  Neither prints a warning.
+optional cut-off ``c`` and then returns the clipped matrix.  W2 and
+Euclidean, which is W2 between zero covariances, share one kernel,
+``w2_stack``, and one selection rule: without ``c`` every pair is
+computed, and with ``c`` only the pairs that pass the gate.  W2^2 is
+||mx - my||^2 plus the Bures term, which is non-negative, so a pair whose
+mean gap alone reaches c (with a slack for rounding, see
+``W2_GATE_SLACK``) saturates and is not computed.  The remaining pairs are
+computed exactly as without ``c``, so the clipped matrix is bit-identical
+to ``np.minimum(D, c)`` of the full one.  A zero covariance has a zero
+square root and a zero Bures term, so a pair with a Dirac side takes no
+eigen-solve.  Where ||mx - my||^2 overflows but the coordinate differences
+do not, the distance is taken in scaled form; an overflowing coordinate
+difference gives an infinite, hence saturated, distance.  Neither prints a
+warning.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ __all__ = [
     "base_distance",
     "cutoff",
     "euclidean_dirac",
-    "euclidean_matrix",
     "gaussian_hellinger",
     "gaussian_w2",
     "pairwise_base_distance",
@@ -95,13 +99,6 @@ def _root(dm2, diff, tt=None) -> np.ndarray:
     return out
 
 
-def euclidean_matrix(ax, ay) -> np.ndarray:
-    """Euclidean distances between the rows of (m, D) and (n, D) arrays."""
-    with np.errstate(over="ignore"):
-        diff = ax[:, None, :] - ay[None, :, :]
-        return _root((diff**2).sum(-1), diff)
-
-
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     """Square roots of stacked symmetric PSD matrices (..., D, D)."""
     w, v = np.linalg.eigh(mats)
@@ -134,19 +131,31 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
     with np.errstate(over="ignore"):
         diff = mx - my
         dm2 = (diff**2).sum(-1)
-    dim = mx.shape[-1]
-    if dim == 1:
+    if mx.shape[-1] == 1:
         # 1-D shortcut: the cross term collapses to (sqrt(Px) - sqrt(Py))^2
         sx = np.sqrt(np.clip(Px[..., 0, 0], 0.0, None))
         sy = np.sqrt(np.clip(Py[..., 0, 0], 0.0, None))
         tt = (sx - sy) ** 2
     else:
-        tt = (
-            np.trace(Px, axis1=-2, axis2=-1)
-            + np.trace(Py, axis1=-2, axis2=-1)
-            - 2.0 * _bures_cross(Px, _psd_sqrt(Py))
-        )
-    return _root(dm2, diff, tt)
+        # a zero covariance has a zero root and a zero Bures term: solve
+        # only the non-zero Py, and the pairs of two non-zero covariances
+        with np.errstate(over="ignore"):
+            tt = np.trace(Px, axis1=-2, axis2=-1) + np.trace(Py, axis1=-2, axis2=-1)
+        live_y = Py.any((-2, -1))
+        if live_y.any():
+            sy = np.zeros_like(Py)
+            sy[live_y] = _psd_sqrt(Py[live_y])
+            both = Px.any((-2, -1)) & live_y
+            if both.all():  # no zero covariance, so no gathered copies
+                tt = tt - 2.0 * _bures_cross(Px, sy)
+            elif both.any():
+                stack = both.shape + Px.shape[-2:]
+                tt = np.array(tt)
+                tt[both] -= 2.0 * _bures_cross(
+                    np.broadcast_to(Px, stack)[both], np.broadcast_to(sy, stack)[both]
+                )
+    with np.errstate(over="ignore"):
+        return _root(dm2, diff, tt)
 
 
 def _hellinger_stack(mx, Px, my, Py) -> np.ndarray:
@@ -177,7 +186,7 @@ def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
     """W2 matrix between (m, D) and (n, D) stacks.  With a cut-off ``c``,
     pairs whose mean gap proves d >= c are set to ``c``; every other entry
     is computed by the same operations as in the full matrix."""
-    if c is None or mx.shape[1] == 1:  # 1-D has no eigen-solve to skip
+    if c is None:
         return w2_stack(
             mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
         )
@@ -188,10 +197,7 @@ def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
         # where the bound overflows, an overflowed ||dm||^2 may lie below it
         i, j = np.nonzero((dm2 < bound) | (np.isinf(dm2) & np.isinf(bound)))
     out = np.full(dm2.shape, float(c))
-    if len(i):
-        tt = tr[i, j] - 2.0 * _bures_cross(Px[i], _psd_sqrt(Py)[j])
-        with np.errstate(over="ignore"):
-            out[i, j] = _root(dm2[i, j], mx[i] - my[j], tt)
+    out[i, j] = w2_stack(mx[i], Px[i], my[j], Py[j])
     return out
 
 
@@ -203,8 +209,9 @@ def pairwise_base_distance(
 
     Returns an (len(xs), len(ys)) array.  Pairs whose operands are exactly
     equal evaluate to exactly 0.0.  With a cut-off ``c`` the result is
-    ``np.minimum(D, c)`` of the full matrix ``D``, bit for bit; W2 pairs
-    whose mean gap alone proves saturation are then not computed.
+    ``np.minimum(D, c)`` of the full matrix ``D``, bit for bit; W2 and
+    Euclidean pairs whose mean gap alone proves saturation are then not
+    computed.
     """
     kind = BaseDistanceKind(kind)
     x, y = _as_mb(xs), _as_mb(ys)
@@ -214,11 +221,9 @@ def pairwise_base_distance(
         raise DimensionMismatchError(f"densities mix state dimensions {sorted({x.dim, y.dim})}")
     (mx, Px, dx), (my, Py, dy) = (x.means, x.covs, x.dirac), (y.means, y.covs, y.dirac)
 
-    if kind is BaseDistanceKind.EUCLIDEAN:
-        if not (dx.all() and dy.all()):
-            raise ValueError("euclidean base distance requires Dirac densities")
-        out = euclidean_matrix(mx, my)
-    elif kind is BaseDistanceKind.HELLINGER:
+    if kind is BaseDistanceKind.EUCLIDEAN and not (dx.all() and dy.all()):
+        raise ValueError("euclidean base distance requires Dirac densities")
+    if kind is BaseDistanceKind.HELLINGER:
         if dx.any() or dy.any():
             raise ValueError("Hellinger distance requires Gaussian densities")
         if np.linalg.eigvalsh(np.concatenate([Px, Py]))[:, 0].min() <= HELLINGER_MIN_EIG:
@@ -228,7 +233,7 @@ def pairwise_base_distance(
         out = _hellinger_stack(
             mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
         )
-    else:
+    else:  # W2, and Euclidean: W2 between zero covariances
         out = _w2_matrix(mx, Px, my, Py, c)
 
     if not (dx.all() and dy.all()):  # bit-for-bit equal operands give exactly 0

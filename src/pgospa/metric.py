@@ -242,17 +242,9 @@ def pgospa(
     cpa = c**p / alpha
     with_decomposition = alpha == 2.0
 
-    if ny == 0:
-        # one matching only: the empty one
-        zero = 0.0 if with_decomposition else None
-        near_tie = False if detect_near_ties else None
-        return PGospaResult(
-            0.0, (), zero, zero, zero, zero, c, p, alpha, base.value, near_tie
-        )
-
     near_tie = None
     ry_cpa = ry * cpa
-    if nx == 0:
+    if nx == 0:  # one matching only: the empty one
         pairs = gamma = ()
         total_p = false = float(ry_cpa.sum())
         loc = mism = missed = 0.0

@@ -299,6 +299,15 @@ def _checked_fields(r, means, covs, dirac) -> tuple:
     return r, means, covs, dirac
 
 
+def _view(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without its constructor's checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _fill(mb, r, means, covs, dirac):
     """Set the four stacked arrays of ``mb``, read-only: r (n,), means
     (n, D), covs (n, D, D), zero for a Dirac, and the Dirac mask (n,)."""
@@ -341,10 +350,13 @@ class MBDensity:
         return len(self.r)
 
     def __getitem__(self, k) -> BernoulliComponent:
+        # views of the checked, read-only arrays, built without re-checking
         k = range(len(self))[k]
-        mean = self.means[k]
-        density = DiracDensity(mean) if self.dirac[k] else GaussianDensity(mean, self.covs[k])
-        return BernoulliComponent(self.r[k], density)
+        if self.dirac[k]:
+            density = _view(DiracDensity, location=self.means[k])
+        else:
+            density = _view(GaussianDensity, mean=self.means[k], cov=self.covs[k])
+        return _view(BernoulliComponent, r=float(self.r[k]), density=density)
 
     @property
     def dim(self) -> int | None:

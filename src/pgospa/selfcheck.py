@@ -204,14 +204,14 @@ def _check_qospa_witness(violations):
         )
 
 
-def run_selfcheck(seed: int = 0, solver=solve_assignment, samples_scale: float = 1.0) -> dict:
+def run_selfcheck(seed: int = 0, solver=solve_assignment) -> dict:
     """Run all suites; returns a report dict with any violations."""
     violations = []
     counts = {
-        "metric-axioms": max(1, int(200 * samples_scale)),
-        "oracle-agreement": max(1, int(100 * samples_scale)),
-        "bernoulli-transport": max(1, int(200 * samples_scale)),
-        "assignment-exactness": max(1, int(150 * samples_scale)),
+        "metric-axioms": 200,
+        "oracle-agreement": 100,
+        "bernoulli-transport": 200,
+        "assignment-exactness": 150,
     }
     _check_axioms(np.random.default_rng([seed, 10]), counts["metric-axioms"], violations)
     _check_oracle_agreement(

@@ -304,3 +304,59 @@ def test_base_distance_kind_parsing():
     assert BaseDistanceKind.from_string("hellinger") is BaseDistanceKind.HELLINGER
     with pytest.raises(ValueError):
         BaseDistanceKind.from_string("mahalanobis")
+
+
+def _mixed_mb(rng, dirac, dim):
+    """Gaussian components with a Dirac wherever the boolean ``dirac`` is set."""
+    n = len(dirac)
+    A = rng.normal(size=(n, dim, dim))
+    covs = A @ np.swapaxes(A, -1, -2) + 0.05 * np.eye(dim)
+    covs[dirac] = 0.0
+    means = rng.uniform(-5, 5, (n, dim))
+    return MBDensity.from_arrays(rng.uniform(0.1, 1.0, n), means, covs, dirac)
+
+
+def test_euclidean_is_w2_between_diracs(rng):
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        x, y = (_mixed_mb(rng, np.ones(int(rng.integers(0, 7)), bool), dim) for _ in range(2))
+        for c in (None, 0.5, 3.0, 1e200):
+            w2 = pairwise_base_distance(x, y, BaseDistanceKind.W2, c=c)
+            eu = pairwise_base_distance(x, y, BaseDistanceKind.EUCLIDEAN, c=c)
+            assert w2.tobytes() == eu.tobytes()
+
+
+def test_dirac_side_takes_no_bures_term(rng, monkeypatch):
+    from pgospa import distances
+
+    bures = []
+    real = distances._bures_cross
+
+    def counting(Px, sy):
+        bures.append(np.broadcast_shapes(Px.shape, sy.shape)[:-2])
+        return real(Px, sy)
+
+    monkeypatch.setattr(distances, "_bures_cross", counting)
+    for dim in (2, 3, 4):
+        diracs = _mixed_mb(rng, np.ones(5, bool), dim)
+        mixed = _mixed_mb(rng, np.arange(6) % 2 == 0, dim)
+        for x, y in ((diracs, mixed), (mixed, diracs)):
+            for c in (None, 3.0, 1e3):
+                pairwise_base_distance(x, y, c=c)
+                w2_stack(x.means[:, None], x.covs[:, None], y.means[None], y.covs[None])
+        assert bures == []
+        # between two mixed sides, only the Gaussian x Gaussian pairs
+        other = _mixed_mb(rng, np.arange(7) % 3 == 0, dim)
+        pairwise_base_distance(mixed, other)
+        assert [int(np.prod(s)) for s in bures] == [3 * 4]
+        bures.clear()
+
+
+def test_zero_covariance_keeps_the_square_root_check():
+    # the root of a non-PSD Py is still taken when its partner is zero
+    zero, bad = np.zeros((2, 2)), np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="matrix square root failed"):
+        w2_stack(np.zeros(2), zero, np.ones(2), bad)
+    with pytest.raises(ValueError, match="matrix square root failed"):
+        Py = np.stack([zero, bad, zero])[None]
+        w2_stack(np.zeros((1, 1, 2)), zero[None, None], np.ones((1, 3, 2)), Py)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from pgospa.cli import main
-from pgospa.model import canonical_json
+from pgospa.distances import BaseDistanceKind, pairwise_base_distance
+from pgospa.model import MBDensity, canonical_json
 
 SWEEP_EXAMPLE1 = "3918b7661137474d5f2fad621a446842ac9a89a4974331cf2859a9e5185913c4"
 
@@ -172,3 +173,49 @@ def test_eval_outputs(eval_files, capsys, flags):
         digest.update(out.encode())
     assert (near_ties.count(True), near_ties.count(False)) == EVAL_NEAR_TIES[flags]
     assert digest.hexdigest() == EVAL_PARAMS[flags]
+
+
+# ``pairwise_base_distance`` on seeded MB pairs of 0-7 components per side:
+# 1-4-D; Diracs mixed with Gaussians whose covariances (some singular) are
+# scaled by 1e-3, 1 or 1e6; 5 % of means near 1e155, so their squared gaps
+# overflow; and components shared by both sides.  W2 runs on every pair and
+# Euclidean on the all-Dirac ones, without a cut-off and at each of
+# DISTANCE_CUTOFFS.  One digest over the bytes of every matrix.
+DISTANCE_CORPUS = "33c4b555e7eab6122d14591c223751981d0042446e8de59df008dbaf5123368a"
+DISTANCE_CUTOFFS = (None, 0.5, 5.0, 30.0, 1e200)
+DISTANCE_PAIRS = 400
+
+
+def corpus_mb(rng, n, dim, dirac_frac):
+    dirac = rng.random(n) < dirac_frac
+    means = rng.uniform(-20.0, 20.0, (n, dim))
+    far = rng.random(n) < 0.05
+    far_shape = (far.sum(), dim)
+    means[far] = rng.choice([-1e155, 1e155], far_shape) * rng.uniform(0.5, 2.0, far_shape)
+    covs = np.zeros((n, dim, dim))
+    for k in np.flatnonzero(~dirac):
+        scale = rng.choice([1e-3, 1.0, 1e6])
+        # singular only at scales whose rounding stays inside the clamp band
+        A = rng.normal(size=(dim, dim if scale > 1.0 else int(rng.integers(1, dim + 1))))
+        covs[k] = scale * (A @ A.T)
+    return MBDensity.from_arrays(rng.uniform(0.1, 1.0, n), means, covs, dirac)
+
+
+def test_distance_corpus():
+    rng = np.random.default_rng(77)
+    digest = hashlib.sha256()
+    for k in range(DISTANCE_PAIRS):
+        dim = int(rng.integers(1, 5))
+        frac = 1.0 if k % 4 == 0 else 0.4
+        x = corpus_mb(rng, int(rng.integers(0, 8)), dim, frac)
+        y = corpus_mb(rng, int(rng.integers(0, 8)), dim, frac)
+        shared = rng.permutation(len(x))[: int(rng.integers(0, 3))]
+        y = MBDensity.from_arrays(*(np.concatenate([getattr(y, name), getattr(x, name)[shared]])
+                                    for name in ("r", "means", "covs", "dirac")))
+        kinds = [BaseDistanceKind.W2] + [BaseDistanceKind.EUCLIDEAN] * (frac == 1.0)
+        for kind in kinds:
+            for c in DISTANCE_CUTOFFS:
+                out = pairwise_base_distance(x, y, kind, c=c)
+                digest.update(repr(out.shape).encode())
+                digest.update(out.tobytes())
+    assert digest.hexdigest() == DISTANCE_CORPUS

@@ -421,3 +421,15 @@ class TestCutoffSweep:
         # c -> 0 limit: every term scales with c
         res = pgospa(fx, fy, MetricParams(c=0.1, p=1.0, alpha=2.0))
         assert res.total <= 0.3
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0])
+@pytest.mark.parametrize("detect", [False, True])
+def test_two_empty_mbs_field_for_field(alpha, detect):
+    params = MetricParams(c=5.0, p=2.0, alpha=alpha)
+    res = pgospa(MBDensity(), MBDensity(), params, detect_near_ties=detect)
+    zero = 0.0 if alpha == 2.0 else None
+    want = metric.PGospaResult(0.0, (), zero, zero, zero, zero, 5.0, 2.0, alpha, "w2",
+                               False if detect else None)
+    assert res == want
+    assert [type(v) for v in vars(res).values()] == [type(v) for v in vars(want).values()]

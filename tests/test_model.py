@@ -661,3 +661,35 @@ def test_from_arrays_rejects_non_numbers():
     r, means, covs, dirac = raw_arrays(clean_components(n=2, diracs=()))
     with pytest.raises(SchemaError, match="arrays of numbers"):
         MBDensity.from_arrays(r, [[0.0, "x", 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]], covs, dirac)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "clamp-band"])
+def test_views_equal_checked_components(monkeypatch, kind):
+    rng = np.random.default_rng(8)
+    docs = []
+    for k in range(16):
+        mean = rng.uniform(-5, 5, 3).tolist()
+        if kind == "mixed" and k % 3 == 0:
+            docs.append({"r": 0.5, "density": {"type": "dirac", "location": mean}})
+        elif kind == "mixed":
+            A = rng.normal(size=(3, 3))
+            docs.append(gauss(float(rng.uniform(0.05, 1.0)), mean, (A @ A.T).tolist()))
+        else:
+            docs.append(gauss(float(rng.uniform(0.05, 1.0)), mean, clamp_band_cov(rng, 3)))
+    mb = mb_from_dict(mb_doc(docs))
+    checked = []
+    for k in range(len(mb)):
+        if mb.dirac[k]:
+            density = DiracDensity(mb.means[k])
+        else:
+            density = GaussianDensity(mb.means[k], mb.covs[k])
+        checked.append(BernoulliComponent(mb.r[k], density))
+    # the views re-run no check: the normal form is not called again
+    monkeypatch.setattr(model, "_psd_normal_form", None)
+    for got, want in zip(mb.components, checked):
+        assert type(got.r) is float and got.r == want.r
+        assert type(got.density) is type(want.density)
+        for name in vars(want.density):
+            a, b = getattr(got.density, name), getattr(want.density, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
