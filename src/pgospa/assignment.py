@@ -185,8 +185,9 @@ def _lex_refine(C: np.ndarray, base_pairs: list) -> list:
     adj[:m, n:] = (u >= -tol)[:, None]
     match = np.empty(N, dtype=np.intp)
     match[rows] = cols
-    free_rows = np.setdiff1d(np.arange(N), rows)
-    free_cols = np.setdiff1d(np.arange(N), cols)
+    taken = np.zeros((2, N), dtype=bool)
+    taken[0, rows] = taken[1, cols] = True
+    free_rows, free_cols = np.flatnonzero(~taken[0]), np.flatnonzero(~taken[1])
     if not adj[free_rows, free_cols].all():
         return list(base_pairs)
     match[free_rows] = free_cols

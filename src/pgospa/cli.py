@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import json
 import sys
 from contextlib import contextmanager
@@ -193,6 +192,8 @@ def cmd_sweep_example1(args) -> int:
 
 def _load_scenario(path):
     if path is None:
+        import importlib.resources  # only the bundled scenario needs it
+
         ref = importlib.resources.files("pgospa").joinpath("data/example2_scenario.json")
         doc = json.loads(ref.read_text(encoding="utf-8"))
     else:

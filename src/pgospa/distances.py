@@ -14,7 +14,10 @@ Three metrics are provided, selected by :class:`BaseDistanceKind`:
 ``pairwise_base_distance`` reads the arrays of two ``MBDensity`` values
 (or of two sequences of densities); the scalar entry points are its 1 x 1
 entry with the operands in a canonical order, so ``d(a, b)`` and
-``d(b, a)`` are bit-identical.  Exactly equal operands give exactly 0.0.
+``d(b, a)`` are bit-identical.  Exactly equal operands give exactly 0.0:
+the pairs whose first mean coordinates have equal bits are the
+candidates, and only they are compared bit for bit on the full mean, the
+kind and the covariance.
 Matrix square roots use symmetric eigendecomposition with eigenvalues
 clamped at zero (tolerance 1e-9), which is robust at the small state
 dimensions typical of tracking problems.
@@ -28,11 +31,17 @@ computed, and with ``c`` only the pairs that pass the gate.  W2^2 is
 mean gap alone reaches c (with a slack for rounding, see
 ``W2_GATE_SLACK``) saturates and is not computed.  The remaining pairs are
 computed exactly as without ``c``, so the clipped matrix is bit-identical
-to ``np.minimum(D, c)`` of the full one.  A zero covariance has a zero
-square root and a zero Bures term, so a pair with a Dirac side takes no
-eigen-solve.  Where ||mx - my||^2 overflows but the coordinate differences
-do not, the distance is taken in scaled form; an overflowing coordinate
-difference gives an infinite, hence saturated, distance.  Neither prints a
+to ``np.minimum(D, c)`` of the full one.  The gate sums the squared mean
+gaps one coordinate at a time, so it holds no (m, n, D) temporary.  A zero
+covariance has a zero square root and a zero Bures term, so a pair with a
+Dirac side takes no eigen-solve.  Where ||mx - my||^2 overflows but the
+coordinate differences do not, the distance is taken in scaled form; an
+overflowing coordinate difference gives an infinite, hence saturated,
+distance.  Where the Bures term is not finite (covariances near the double
+range overflow its traces or ``Py^{1/2} Px Py^{1/2}``), the pair is taken
+in scaled form too: W2 is homogeneous, so it is computed with means / s
+and covariances / s^2 for a power of two s and multiplied by s.  Pairs
+whose plain form is finite keep its bits, and none of this prints a
 warning.
 """
 
@@ -112,14 +121,19 @@ def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
 
 
 def _bures_cross(Px, sy) -> np.ndarray:
-    """tr (sy Px sy)^{1/2} for broadcast stacks, with ``sy`` = Py^{1/2}."""
-    lam = np.linalg.eigvalsh(sy @ Px @ sy)
+    """tr (sy Px sy)^{1/2} for broadcast stacks, with ``sy`` = Py^{1/2}.
+    A product that overflows is not solved and gives NaN, so that
+    ``w2_stack`` takes its pair in scaled form."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = sy @ Px @ sy
+    ok = np.isfinite(prod).all((-2, -1))
+    lam = np.linalg.eigvalsh(np.where(ok[..., None, None], prod, 0.0))
     scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
     if lam.size and float(lam.min()) < -PSD_SQRT_TOL * scale:
         raise ValueError(
             f"matrix square root failed: eigenvalue {lam.min():.3g} below tolerance"
         )
-    return np.sqrt(np.clip(lam, 0.0, None)).sum(-1)
+    return np.where(ok, np.sqrt(np.clip(lam, 0.0, None)).sum(-1), np.nan)
 
 
 def w2_stack(mx, Px, my, Py) -> np.ndarray:
@@ -155,7 +169,30 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
                     np.broadcast_to(Px, stack)[both], np.broadcast_to(sy, stack)[both]
                 )
     with np.errstate(over="ignore"):
-        return _root(dm2, diff, tt)
+        out = _root(dm2, diff, tt)
+    bad = ~np.isfinite(tt)
+    if bad.any():
+        bad = bad & np.isfinite(Px).all((-2, -1)) & np.isfinite(Py).all((-2, -1))
+        if bad.any():
+            out = _w2_scaled(out, bad, mx, Px, my, Py)
+    return out
+
+
+def _w2_scaled(out, bad, mx, Px, my, Py) -> np.ndarray:
+    """``out`` with the pairs at ``bad``, whose Bures term is not finite,
+    taken in scaled form: W2 is homogeneous, so a pair is computed with
+    means / s and covariances / s^2 for a power of two ``s^2 >= max |P|``
+    and the result multiplied by ``s``."""
+    out = np.array(out)
+    bad = np.broadcast_to(bad, out.shape)
+    mx, my = (np.broadcast_to(a, out.shape + a.shape[-1:])[bad] for a in (mx, my))
+    Px, Py = (np.broadcast_to(a, out.shape + a.shape[-2:])[bad] for a in (Px, Py))
+    big = np.maximum(np.abs(Px).max((1, 2)), np.abs(Py).max((1, 2)))
+    s = np.ldexp(1.0, -(-np.frexp(big)[1] // 2))
+    v, m = s[:, None], s[:, None, None]  # s^2 may overflow: divide twice
+    with np.errstate(over="ignore"):
+        out[bad] = s * w2_stack(mx / v, Px / m / m, my / v, Py / m / m)
+    return out[()]  # a scalar for 1 x 1 operands, as from the plain form
 
 
 def _hellinger_stack(mx, Px, my, Py) -> np.ndarray:
@@ -191,7 +228,10 @@ def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
             mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
         )
     with np.errstate(over="ignore"):
-        dm2 = ((mx[:, None, :] - my[None, :, :]) ** 2).sum(-1)
+        # one coordinate at a time: no (m, n, D) temporary
+        dm2 = np.zeros((len(mx), len(my)))
+        for k in range(mx.shape[1]):
+            dm2 += np.subtract.outer(mx[:, k], my[:, k]) ** 2
         tr = np.trace(Px, axis1=1, axis2=2)[:, None] + np.trace(Py, axis1=1, axis2=2)
         bound = c * c * (1.0 + W2_GATE_SLACK) + W2_GATE_SLACK * tr
         # where the bound overflows, an overflowed ||dm||^2 may lie below it
@@ -237,9 +277,14 @@ def pairwise_base_distance(
         out = _w2_matrix(mx, Px, my, Py, c)
 
     if not (dx.all() and dy.all()):  # bit-for-bit equal operands give exactly 0
-        i, j = np.nonzero((mx.view(np.int64)[:, None] == my.view(np.int64)[None]).all(-1))
+        bx, by = mx.view(np.int64), my.view(np.int64)
+        i, j = np.nonzero(bx[:, :1] == by[:, 0])  # candidates: equal first coordinate
         if len(i):
-            same = (dx[i] == dy[j]) & (Px[i].view(np.int64) == Py[j].view(np.int64)).all((1, 2))
+            same = (
+                (bx[i] == by[j]).all(1)
+                & (dx[i] == dy[j])
+                & (Px[i].view(np.int64) == Py[j].view(np.int64)).all((1, 2))
+            )
             out[i[same], j[same]] = 0.0
     return out if c is None else np.minimum(out, c)
 

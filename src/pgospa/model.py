@@ -159,7 +159,12 @@ def _psd_normal_form(covs: np.ndarray) -> np.ndarray:
         raise SchemaError(
             f"covariance is not symmetric (max asymmetry {a:.3g} > {COV_SYMMETRY_TOL:g})"
         )
-    covs = (covs + covs.swapaxes(-1, -2)) / 2.0
+    with np.errstate(over="ignore"):
+        sym = (covs + covs.swapaxes(-1, -2)) / 2.0
+    big = np.isinf(sym)
+    if big.any():  # the sum overflowed: halve first, exact at this magnitude
+        sym[big] = (covs / 2.0 + covs.swapaxes(-1, -2) / 2.0)[big]
+    covs = sym
     for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] < 0.0):
         covs[i] = _clamp_psd(covs[i])
     return covs

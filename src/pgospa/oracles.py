@@ -10,7 +10,9 @@ closed form and by vertex enumeration of the constraint polytope (the two
 must agree), and ``bernoulli_ot_grid`` discretizes Gaussian Bernoulli
 densities onto a grid and solves the induced discrete transport problem
 exactly as a linear program, yielding a lower bound (up to the reported
-discretization slack) on the metric's p-th power.
+discretization slack) on the metric's p-th power.  ``scipy.stats``, which
+the grid needs for the Gaussian densities and tails, is imported on the
+first ``bernoulli_ot_grid`` call, so importing the package does not load it.
 
 ``qospa_base`` implements an alternative existence-weighted base distance
 for comparison; it fails the definiteness property (identical inputs with
@@ -26,7 +28,6 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.stats import multivariate_normal, norm
 
 from .distances import BaseDistanceKind, pairwise_base_distance
 from .model import (
@@ -260,6 +261,10 @@ class GridOTResult:
 
 
 def _discretize_gaussian(g: GaussianDensity, resolution: int) -> GridDensity:
+    # scipy.stats costs about 0.6 s to import and only the grid oracle uses
+    # it, so it is loaded here rather than with the package
+    from scipy.stats import multivariate_normal, norm
+
     dim = g.dim
     var = np.clip(np.diag(g.cov), 0.0, None)
     std = np.maximum(np.sqrt(var), 1e-9)

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -497,6 +500,47 @@ def test_overflowing_cutoff_power_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "eval", f, f, "--c", "1e200", "--p", "2")
     assert code == 3
     assert "overflows" in err
+
+
+@pytest.mark.parametrize(
+    "x_cov, y",
+    [
+        # Py^{1/2} Px Py^{1/2} overflows
+        ([[8e307, 0.0], [0.0, 8e307]], gauss(1.0, [0.0, 0.0], [[2e307, 0.0], [0.0, 2e307]])),
+        # (P + P^T) / 2 overflows on loading, and so does tr Px
+        ([[1e308, 0.0], [0.0, 1e308]], gauss(1.0, [0.0, 0.0], [[2e307, 0.0], [0.0, 2e307]])),
+        ([[1e308, 0.0], [0.0, 1e308]], dirac(1.0, 0.0, 0.0)),
+    ],
+)
+def test_covariances_near_the_double_range_saturate_silently(tmp_path, capsys, x_cov, y):
+    fx = write(tmp_path / "x.json", mb_doc(gauss(1.0, [0.0, 0.0], x_cov)))
+    fy = write(tmp_path / "y.json", mb_doc(y))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "eval", fx, fy, "--c", "10")
+    assert code == 0 and err == ""
+    assert caught == []
+    assert json.loads(out)["total"] == 10.0
+
+
+@pytest.mark.parametrize("module", ["pgospa.cli", "pgospa"])
+def test_import_does_not_load_scipy_stats(module):
+    # scipy.stats is for the grid oracle alone; loading it with the package
+    # made every CLI process start about 0.6 s slower
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        f"import sys, {module}; "
+        "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 _junk = st.recursive(

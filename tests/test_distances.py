@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,3 +361,66 @@ def test_zero_covariance_keeps_the_square_root_check():
     with pytest.raises(ValueError, match="matrix square root failed"):
         Py = np.stack([zero, bad, zero])[None]
         w2_stack(np.zeros((1, 1, 2)), zero[None, None], np.ones((1, 3, 2)), Py)
+
+
+def test_equal_operand_filter_matches_the_dense_bitwise_rule(rng):
+    # operands that share the first mean coordinate but differ later, in the
+    # covariance or in kind, and means of 0.0 against -0.0
+    def ulp_up(a, idx):
+        a = a.copy()
+        a[idx] = np.nextafter(a[idx], np.inf)
+        return a
+
+    for dim in (1, 2, 3, 4):
+        x = _mixed_mb(rng, np.arange(8) % 3 == 0, dim)
+        means, covs, dirac = x.means.copy(), x.covs.copy(), x.dirac.copy()
+        means[:2] = 0.0
+        means[1, -1] = -0.0
+        means[2] = means[3]
+        covs[2] = covs[3]
+        x = MBDensity.from_arrays(x.r, means, covs, dirac)
+        later, cov = [4, 6], [5, 7]  # cov: Gaussian rows
+        y_means = np.concatenate(
+            [means, -means[:2], ulp_up(means[later], (slice(None), -1)), means[cov]]
+        )
+        y_covs = np.concatenate(
+            [covs, covs[:2], covs[later], ulp_up(covs[cov], (slice(None), 0, 0))]
+        )
+        y_dirac = np.concatenate([dirac, dirac[:2], dirac[later], dirac[cov]])
+        y_dirac[3] = ~y_dirac[3]  # a Dirac against a Gaussian of the same mean
+        y_covs[3] = 0.0
+        y = MBDensity.from_arrays(np.full(len(y_dirac), 0.5), y_means, y_covs, y_dirac)
+        for a, b in ((x, y), (y, x)):
+            mx, Px, dx = a.means, a.covs, a.dirac
+            my, Py, dy = b.means, b.covs, b.dirac
+            same = (
+                (mx.view(np.int64)[:, None] == my.view(np.int64)[None]).all(-1)
+                & (dx[:, None] == dy[None])
+                & (Px.view(np.int64)[:, None] == Py.view(np.int64)[None]).all((-2, -1))
+            )
+            assert same.any() and not same.all()
+            want = np.where(same, 0.0, w2_stack(mx[:, None], Px[:, None], my[None], Py[None]))
+            for c in (None, 0.5, 3.0):
+                got = pairwise_base_distance(a, b, c=c)
+                assert got.tobytes() == (want if c is None else np.minimum(want, c)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bures_term_near_the_double_range_is_scaled(dim):
+    # tr Px + tr Py and Py^{1/2} Px Py^{1/2} overflow; the distances do not
+    eye = np.eye(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((8e307, 2e307), (1e308, 1e308 / 3), (1e200, 1.1e200), (1e308, 1.0)):
+            want = math.sqrt(dim) * abs(math.sqrt(a) - math.sqrt(b))
+            got = w2_stack(np.zeros(dim), a * eye, np.ones(dim), b * eye)
+            assert got == pytest.approx(math.hypot(want, math.sqrt(dim)), rel=1e-12)
+            # the scaled form is homogeneous: a plain pair scaled back is exact
+            s = 2.0 ** -500
+            small = w2_stack(np.zeros(dim), a * s * s * eye, np.ones(dim) * s, b * s * s * eye)
+            assert got == small / s
+        xs = [GaussianDensity(np.zeros(dim), 8e307 * eye), DiracDensity(np.zeros(dim))]
+        ys = [GaussianDensity(np.zeros(dim), b * eye) for b in (2e307, 1e308)]
+        full = pairwise_base_distance(xs, ys)
+        assert np.isfinite(full).all()
+        assert np.array_equal(pairwise_base_distance(xs, ys, c=10.0), np.full((2, 2), 10.0))
