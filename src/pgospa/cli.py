@@ -29,7 +29,7 @@ from dataclasses import astuple
 from . import montecarlo
 from .distances import BaseDistanceKind, pairwise_base_distance
 # mbm_pgospa is not called here; perfbench/tracing.py wraps it by this name
-from .metric import _pair_terms, gospa, mbm_pgospa, pgospa  # noqa: F401
+from .metric import _oriented, _pair_terms, _score, gospa, mbm_pgospa, pgospa  # noqa: F401
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
@@ -38,6 +38,7 @@ from .model import (
     SchemaError,
     _point_masses,
     canonical_json,
+    doc_kind,
     load_document,
     mb_from_dict,
     mbm_from_dict,
@@ -102,17 +103,6 @@ def _open_out(path: str):
             yield fh
 
 
-def _doc_kind(doc) -> str:
-    if isinstance(doc, dict):
-        if "components" in doc:
-            return "mb"
-        if "mixture" in doc:
-            return "mbm"
-        if "points" in doc:
-            return "points"
-    raise SchemaError("expected an MB, MB-mixture, or point-set document")
-
-
 def _print_json(obj) -> None:
     print(canonical_json(obj))
 
@@ -120,7 +110,9 @@ def _print_json(obj) -> None:
 def cmd_eval(args) -> int:
     doc_x = load_document(args.file_x)
     doc_y = load_document(args.file_y)
-    kx, ky = _doc_kind(doc_x), _doc_kind(doc_y)
+    kx, ky = doc_kind(doc_x), doc_kind(doc_y)
+    if kx is None or ky is None:
+        raise SchemaError("expected an MB, MB-mixture, or point-set document")
     params = _params(args)
     base = BaseDistanceKind(args.base)
     allow0 = args.allow_zero_r
@@ -205,13 +197,20 @@ def _load_scenario(path):
 
 def cmd_sweep_example2(args) -> int:
     """P-GOSPA and its decomposition versus the cut-off c, over
-    c = 0.1, 0.2, ..., 10.0 (alpha = 2)."""
+    c = 0.1, 0.2, ..., 10.0 (alpha = 2): one unclipped distance matrix,
+    scored by ``_score`` clipped at each c, which the gate's contract makes
+    bit-identical to one ``pgospa`` call per c."""
     fx, fy = _load_scenario(args.scenario)
     base = BaseDistanceKind(args.base)
+    D = None
     with _open_out(args.out) as fh:
         fh.write("c,total,localization,existence_mismatch,missed,false\n")
         for c in EXAMPLE2_C_SWEEP:
-            res = pgospa(fx, fy, MetricParams(c=c, p=args.p, alpha=2.0), base)
+            params = MetricParams(c=c, p=args.p, alpha=2.0)
+            if D is None:  # after the first parameter check, as in pgospa
+                a, b, swapped = _oriented(fx, fy)
+                D = pairwise_base_distance(a, b, base)
+            res = _score(a.r, b.r, np.minimum(D, c), params, base, swapped=swapped)
             fh.write(
                 f"{c:.12g},{res.total:.12g},{res.localization:.12g},"
                 f"{res.existence_mismatch:.12g},{res.missed:.12g},{res.false_det:.12g}\n"

@@ -11,13 +11,15 @@ Three metrics are provided, selected by :class:`BaseDistanceKind`:
   positive-definite covariances; bounded in [0, 1].
 * ``euclidean``: Euclidean distance, valid only between Dirac densities.
 
-``pairwise_base_distance`` reads the arrays of two ``MBDensity`` values
-(or of two sequences of densities); the scalar entry points are its 1 x 1
-entry with the operands in a canonical order, so ``d(a, b)`` and
-``d(b, a)`` are bit-identical.  Exactly equal operands give exactly 0.0:
-the pairs whose first mean coordinates have equal bits are the
-candidates, and only they are compared bit for bit on the full mean, the
-kind and the covariance.
+``pairwise_blocks`` computes the distance matrices of several pairs of
+``MBDensity`` values at once, their operands held as padded stacks;
+``pairwise_base_distance``, on two ``MBDensity`` values (or two sequences
+of densities), is its one-block case.  The scalar entry points are the
+1 x 1 entry of the latter with the operands in a canonical order, so
+``d(a, b)`` and ``d(b, a)`` are bit-identical.  Exactly equal operands
+give exactly 0.0: the pairs whose first mean coordinates have equal bits
+are the candidates, and only they are compared bit for bit on the full
+mean, the kind and the covariance.
 Matrix square roots use symmetric eigendecomposition with eigenvalues
 clamped at zero (tolerance 1e-9), which is robust at the small state
 dimensions typical of tracking problems.
@@ -25,8 +27,9 @@ dimensions typical of tracking problems.
 The metric only uses ``min(d, c)``, so ``pairwise_base_distance`` takes an
 optional cut-off ``c`` and then returns the clipped matrix.  W2 and
 Euclidean, which is W2 between zero covariances, share one kernel,
-``w2_stack``, and one selection rule: without ``c`` every pair is
-computed, and with ``c`` only the pairs that pass the gate.  W2^2 is
+``w2_stack``, called once per ``pairwise_blocks`` call, and one selection
+rule: without ``c`` every pair is computed, and with ``c`` only the pairs
+that pass the gate.  W2^2 is
 ||mx - my||^2 plus the Bures term, which is non-negative, so a pair whose
 mean gap alone reaches c (with a slack for rounding, see
 ``W2_GATE_SLACK``) saturates and is not computed.  The remaining pairs are
@@ -61,6 +64,7 @@ __all__ = [
     "gaussian_hellinger",
     "gaussian_w2",
     "pairwise_base_distance",
+    "pairwise_blocks",
     "w2_stack",
 ]
 
@@ -219,25 +223,109 @@ def _as_mb(densities) -> MBDensity:
     return MBDensity(BernoulliComponent(1.0, d) for d in densities)
 
 
-def _w2_matrix(mx, Px, my, Py, c=None) -> np.ndarray:
-    """W2 matrix between (m, D) and (n, D) stacks.  With a cut-off ``c``,
-    pairs whose mean gap proves d >= c are set to ``c``; every other entry
-    is computed by the same operations as in the full matrix."""
-    if c is None:
-        return w2_stack(
-            mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
-        )
+def _stacked(sides, rows) -> list:
+    """The means, covs and Dirac masks of the MB densities ``sides``, of
+    ``rows`` rows each, as (B, R, ...) stacks with R = max(rows): block b's
+    rows first, then padding rows, Diracs at NaN.  No padded pair passes
+    the W2 gate, since a NaN gap compares false, and a Dirac flag over the
+    padded stack is all-true exactly where it is over the real rows."""
+    if len(sides) == 1:
+        return [sides[0].means[None], sides[0].covs[None], sides[0].dirac[None]]
+    R = max(rows)
+    valid = None if min(rows) == R else np.arange(R) < np.array(rows)[:, None]
+    stacks = []
+    for field, pad in (("means", np.nan), ("covs", 0.0), ("dirac", True)):
+        flat = np.concatenate([getattr(mb, field) for mb in sides])
+        if valid is None:  # blocks of one size: no padding
+            stacks.append(flat.reshape((len(rows), R) + flat.shape[1:]))
+        else:
+            stacks.append(np.full((len(rows), R) + flat.shape[1:], pad, flat.dtype))
+            stacks[-1][valid] = flat
+    return stacks
+
+
+def _nonzero(mask) -> tuple:
+    """``np.nonzero(mask)``, several times faster on a sparse mask."""
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+
+
+def _gate(mx, Px, my, Py, c) -> np.ndarray:
+    """The pairs of (B, rows, ...) stacks that the W2 gate computes: those
+    whose mean gap does not prove d >= c."""
     with np.errstate(over="ignore"):
-        # one coordinate at a time: no (m, n, D) temporary
-        dm2 = np.zeros((len(mx), len(my)))
-        for k in range(mx.shape[1]):
-            dm2 += np.subtract.outer(mx[:, k], my[:, k]) ** 2
-        tr = np.trace(Px, axis1=1, axis2=2)[:, None] + np.trace(Py, axis1=1, axis2=2)
-        bound = c * c * (1.0 + W2_GATE_SLACK) + W2_GATE_SLACK * tr
+        # one coordinate at a time, in place: no (B, rows, cols, D) temporary
+        dm2 = np.zeros((mx.shape[0], mx.shape[1], my.shape[1]))
+        for k in range(mx.shape[-1]):
+            gap = mx[:, :, None, k] - my[:, None, :, k]
+            gap *= gap
+            dm2 += gap
+        del gap
+        tx, ty = np.trace(Px, axis1=2, axis2=3), np.trace(Py, axis1=2, axis2=3)
+        bound = tx[:, :, None] + ty[:, None, :]
+        bound *= W2_GATE_SLACK
+        bound += c * c * (1.0 + W2_GATE_SLACK)
         # where the bound overflows, an overflowed ||dm||^2 may lie below it
-        i, j = np.nonzero((dm2 < bound) | (np.isinf(dm2) & np.isinf(bound)))
-    out = np.full(dm2.shape, float(c))
-    out[i, j] = w2_stack(mx[i], Px[i], my[j], Py[j])
+        return (dm2 < bound) | (np.isinf(dm2) & np.isinf(bound))
+
+
+def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None) -> list:
+    """Distance matrices of the pairs ``(x, y)`` of ``MBDensity`` values in
+    ``blocks``: entry ``b`` is ``pairwise_base_distance(*blocks[b], kind,
+    c=c)``, bit for bit, and a block with an empty side has no entries to
+    compute.  The blocks' operands are held as padded (B, rows, ...)
+    stacks, and the W2 pairs of all blocks that pass the gate (every pair
+    without ``c``) go through one ``w2_stack`` call."""
+    kind = BaseDistanceKind(kind)
+    sizes = [(len(x.r), len(y.r)) for x, y in blocks]
+    out = [None if m and n else np.zeros((m, n)) for m, n in sizes]
+    live = [k for k, D in enumerate(out) if D is None]
+    if not live:
+        return out
+    xs, ys = [blocks[k][0] for k in live], [blocks[k][1] for k in live]
+    dims = {mb.means.shape[1] for mb in xs + ys}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"densities mix state dimensions {sorted(dims)}")
+    m, n = [sizes[k][0] for k in live], [sizes[k][1] for k in live]
+    (mx, Px, dx), (my, Py, dy) = _stacked(xs, m), _stacked(ys, n)
+    all_dirac = dx.all() and dy.all()
+
+    if kind is BaseDistanceKind.EUCLIDEAN and not all_dirac:
+        raise ValueError("euclidean base distance requires Dirac densities")
+    if kind is BaseDistanceKind.HELLINGER:
+        if any(mb.dirac.any() for mb in xs + ys):
+            raise ValueError("Hellinger distance requires Gaussian densities")
+        least = np.linalg.eigvalsh(np.concatenate([mb.covs for mb in xs + ys]))[:, 0].min()
+        if least <= HELLINGER_MIN_EIG:
+            raise ValueError(
+                "Hellinger distance requires strictly positive-definite covariances"
+            )
+        D = np.zeros((len(m), max(m), max(n)))
+        for k, (x, y) in enumerate(zip(xs, ys)):
+            D[k, : m[k], : n[k]] = _hellinger_stack(
+                x.means[:, None, :], x.covs[:, None], y.means[None, :, :], y.covs[None]
+            )
+    else:  # W2, and Euclidean: W2 between zero covariances
+        # without a cut-off, the gate at c = inf passes every real pair
+        cut = np.inf if c is None else float(c)
+        b, i, j = _nonzero(_gate(mx, Px, my, Py, cut))
+        D = np.full((len(m), max(m), max(n)), cut)
+        D[b, i, j] = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
+
+    if not all_dirac:  # bit-for-bit equal operands give exactly 0
+        bx, by = mx.view(np.int64), my.view(np.int64)
+        # candidates: an equal first coordinate; padded pairs are dropped below
+        b, i, j = _nonzero(bx[:, :, None, 0] == by[:, None, :, 0])
+        if len(b):
+            same = (
+                (bx[b, i] == by[b, j]).all(1)
+                & (dx[b, i] == dy[b, j])
+                & (Px[b, i].view(np.int64) == Py[b, j].view(np.int64)).all((1, 2))
+            )
+            D[b[same], i[same], j[same]] = 0.0
+    if c is not None:
+        np.minimum(D, c, out=D)
+    for k, at in enumerate(live):
+        out[at] = D[k, : m[k], : n[k]]
     return out
 
 
@@ -245,7 +333,8 @@ def pairwise_base_distance(
     xs, ys, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None
 ) -> np.ndarray:
     """Distance matrix between two ``MBDensity`` values, or between two
-    sequences of single-object densities.
+    sequences of single-object densities: the one-block case of
+    ``pairwise_blocks``.
 
     Returns an (len(xs), len(ys)) array.  Pairs whose operands are exactly
     equal evaluate to exactly 0.0.  With a cut-off ``c`` the result is
@@ -253,40 +342,7 @@ def pairwise_base_distance(
     Euclidean pairs whose mean gap alone proves saturation are then not
     computed.
     """
-    kind = BaseDistanceKind(kind)
-    x, y = _as_mb(xs), _as_mb(ys)
-    if not len(x) or not len(y):
-        return np.zeros((len(x), len(y)))
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"densities mix state dimensions {sorted({x.dim, y.dim})}")
-    (mx, Px, dx), (my, Py, dy) = (x.means, x.covs, x.dirac), (y.means, y.covs, y.dirac)
-
-    if kind is BaseDistanceKind.EUCLIDEAN and not (dx.all() and dy.all()):
-        raise ValueError("euclidean base distance requires Dirac densities")
-    if kind is BaseDistanceKind.HELLINGER:
-        if dx.any() or dy.any():
-            raise ValueError("Hellinger distance requires Gaussian densities")
-        if np.linalg.eigvalsh(np.concatenate([Px, Py]))[:, 0].min() <= HELLINGER_MIN_EIG:
-            raise ValueError(
-                "Hellinger distance requires strictly positive-definite covariances"
-            )
-        out = _hellinger_stack(
-            mx[:, None, :], Px[:, None, :, :], my[None, :, :], Py[None, :, :, :]
-        )
-    else:  # W2, and Euclidean: W2 between zero covariances
-        out = _w2_matrix(mx, Px, my, Py, c)
-
-    if not (dx.all() and dy.all()):  # bit-for-bit equal operands give exactly 0
-        bx, by = mx.view(np.int64), my.view(np.int64)
-        i, j = np.nonzero(bx[:, :1] == by[:, 0])  # candidates: equal first coordinate
-        if len(i):
-            same = (
-                (bx[i] == by[j]).all(1)
-                & (dx[i] == dy[j])
-                & (Px[i].view(np.int64) == Py[j].view(np.int64)).all((1, 2))
-            )
-            out[i[same], j[same]] = 0.0
-    return out if c is None else np.minimum(out, c)
+    return pairwise_blocks([(_as_mb(xs), _as_mb(ys))], kind, c=c)[0]
 
 
 def base_distance(px, py, kind: BaseDistanceKind = BaseDistanceKind.W2) -> float:

@@ -24,9 +24,13 @@ pair whose cut-off distance saturates (d_ij >= c) contributes exactly the
 same cost as leaving both components unmatched, and is reported as
 unmatched.
 
-``pgospa`` is the array-level core: it reads the existence vectors and the
-base-distance matrix of its two MB densities and does the assignment, the
-decomposition and the orientation swap.  ``gospa`` evaluates point sets:
+``_score`` is the one scoring core: from the existence vectors and the
+clipped base-distance matrix of two MB densities it builds the costs,
+solves the assignment, decides the near-tie flag and sums the total and
+the decomposition.  ``pgospa`` is the dimension check, the orientation
+(``_oriented``: the smaller side first), ``pairwise_base_distance`` and
+``_score``; the Monte Carlo run pass and ``sweep-example2`` call
+``_score`` on distance matrices of their own.  ``gospa`` evaluates point sets:
 its result is by definition the metric above on the lifted MB densities
 (all existence probabilities one, Dirac densities at the points) with the
 Euclidean base distance, and it calls ``pgospa`` on exactly those.
@@ -209,36 +213,33 @@ def _no_near_tie(reduced, cols, reported, total_p, p) -> bool:
         return bool(lo ** (1.0 / p) - hi ** (1.0 / p) > 2.0 * NEAR_TIE_ABS_TOL)
 
 
-def pgospa(
-    fx: MBDensity,
-    fy: MBDensity,
-    params: MetricParams,
-    base: BaseDistanceKind = BaseDistanceKind.W2,
-    *,
-    detect_near_ties: bool = False,
-) -> PGospaResult:
-    """Metric between two MB densities, with optimal matching and, for
-    alpha = 2, the four-way decomposition.
-
-    ``detect_near_ties`` additionally reports whether a matching that
-    reports other pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimal
-    metric value (the reported pairs and the decomposition then depend on
-    the deterministic tie-break), up to ``LEX_REFINE_MAX`` per side and
-    None above.  The dual bound of ``_no_near_tie`` decides "no" where it
-    can; the re-solve loop of ``_second_best_total_p`` decides the rest.
-    """
-    base = BaseDistanceKind(base)
+def _oriented(fx: MBDensity, fy: MBDensity) -> tuple:
+    """``(a, b, swapped)``: the operands of one evaluation with the smaller
+    side first, ``fx`` on equal sizes; raises on a dimension mismatch."""
     if len(fx) and len(fy) and fx.dim != fy.dim:
         raise DimensionMismatchError(
             f"MB densities have dimensions {fx.dim} and {fy.dim}"
         )
-    # the smaller side is x; ``swapped`` turns the pairs and terms back
     swapped = len(fx) > len(fy)
-    a, b = (fy, fx) if swapped else (fx, fy)
-    rx, ry = a.r, b.r
+    return (fy, fx, True) if swapped else (fx, fy, False)
+
+
+def _score(
+    rx,
+    ry,
+    D,
+    params: MetricParams,
+    base: BaseDistanceKind,
+    *,
+    swapped: bool = False,
+    detect_near_ties: bool = False,
+) -> PGospaResult:
+    """The metric of existence vectors ``rx`` (m) and ``ry`` (n), m <= n,
+    with base distances ``D`` (m, n) clipped at c: cost build, assignment,
+    near-tie flag, decomposition and left-to-right sums.  ``swapped`` turns
+    the pairs and terms back to operands given in the other order."""
     nx, ny = len(rx), len(ry)
     p, c, alpha = params.p, params.c, params.alpha
-    D = pairwise_base_distance(a, b, base, c=c)
     cpa = c**p / alpha
     with_decomposition = alpha == 2.0
 
@@ -296,6 +297,33 @@ def pgospa(
         missed, false = false, missed
     return PGospaResult(
         total, gamma, loc, mism, missed, false, c, p, alpha, base.value, near_tie
+    )
+
+
+def pgospa(
+    fx: MBDensity,
+    fy: MBDensity,
+    params: MetricParams,
+    base: BaseDistanceKind = BaseDistanceKind.W2,
+    *,
+    detect_near_ties: bool = False,
+) -> PGospaResult:
+    """Metric between two MB densities, with optimal matching and, for
+    alpha = 2, the four-way decomposition: the dimension check, the
+    orientation, the clipped distance matrix, then ``_score``.
+
+    ``detect_near_ties`` additionally reports whether a matching that
+    reports other pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimal
+    metric value (the reported pairs and the decomposition then depend on
+    the deterministic tie-break), up to ``LEX_REFINE_MAX`` per side and
+    None above.  The dual bound of ``_no_near_tie`` decides "no" where it
+    can; the re-solve loop of ``_second_best_total_p`` decides the rest.
+    """
+    base = BaseDistanceKind(base)
+    a, b, swapped = _oriented(fx, fy)
+    D = pairwise_base_distance(a, b, base, c=params.c)
+    return _score(
+        a.r, b.r, D, params, base, swapped=swapped, detect_near_ties=detect_near_ties
     )
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "mbm_to_dict",
     "points_from_dict",
     "points_to_dict",
+    "doc_kind",
     "load_document",
     "load_mb",
     "load_mbm",
@@ -495,13 +496,12 @@ def _number_stack(values: list, depth: int):
     return arr.astype(float, copy=False)
 
 
-def _stacked_fields(raw: list, allow_zero_existence: bool):
-    """The (r, means, covs, dirac) arrays of a clean non-empty components
-    list, or None when any doubt remains.  One structural pass proves that
-    every item and density has exactly the keys of its kind, and every
-    field is checked once on its whole-document stack.  Nothing here
-    raises: a fault or an odd input returns None, and the per-field walk
-    decides the document and reports its fault."""
+def _unchecked_fields(raw: list, allow_zero_existence: bool):
+    """The unchecked (r, means, covs, dirac) arrays of a clean non-empty
+    components list, or None when any doubt remains.  One structural pass
+    proves that every item and density has exactly the keys of its kind,
+    and every leaf is a plain number.  Nothing here raises: a fault or an
+    odd input returns None."""
     rs, means, covs, dirac = [], [], [], []
     try:
         for item in raw:
@@ -530,8 +530,21 @@ def _stacked_fields(raw: list, allow_zero_existence: bool):
         dirac = np.array(dirac, dtype=bool)
         cov_stack = np.zeros((n,) + gauss.shape[1:])
         cov_stack[~dirac] = gauss
-        return _checked_fields(r, means, cov_stack, dirac)
-    except (TypeError, ValueError):  # non-iterables, ragged stacks, SchemaError
+        return r, means, cov_stack, dirac
+    except (TypeError, ValueError):  # non-iterables, ragged stacks
+        return None
+
+
+def _stacked_fields(raw: list, allow_zero_existence: bool):
+    """The checked (r, means, covs, dirac) arrays of a clean non-empty
+    components list, or None when any doubt remains: ``_unchecked_fields``,
+    then each field checked once on its whole-document stack.  Nothing here
+    raises: a fault or an odd input returns None, and the per-field walk
+    decides the document and reports its fault."""
+    fields = _unchecked_fields(raw, allow_zero_existence)
+    try:
+        return None if fields is None else _checked_fields(*fields)
+    except ValueError:  # SchemaError, DimensionMismatchError
         return None
 
 
@@ -585,6 +598,43 @@ def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
     if fields is None:
         fields = _walked_fields(raw, allow_zero_existence)
     return _fill(object.__new__(MBDensity), *fields)
+
+
+def doc_kind(data) -> str | None:
+    """The kind of a parsed document: "mb", "mbm" or "points", by the first
+    of the keys "components", "mixture" and "points" that it holds; None
+    for any other document."""
+    if isinstance(data, dict):
+        for key, kind in (("components", "mb"), ("mixture", "mbm"), ("points", "points")):
+            if key in data:
+                return kind
+    return None
+
+
+def _document_fields(data):
+    """The unchecked (r, means, covs, dirac) arrays of a clean MB document
+    with every r > 0, zero rows for an empty one, or None for any other
+    document."""
+    raw = data.get("components") if doc_kind(data) == "mb" else None
+    if type(raw) is not list:
+        return None
+    if not raw:
+        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, bool)
+    return _unchecked_fields(raw, False)
+
+
+def _split_densities(fields: list) -> list:
+    """The MB densities of a list of ``_document_fields`` results, checked
+    in one ``_checked_fields`` pass over their stack; raises on any fault,
+    and on documents of several state dimensions."""
+    sizes = [len(f[0]) for f in fields]
+    live = [f for f in fields if len(f[0])] or fields[:1]
+    r, means, covs, dirac = _checked_fields(*map(np.concatenate, zip(*live)))
+    ends = np.cumsum(sizes).tolist()
+    return [
+        _fill(object.__new__(MBDensity), r[s:e], means[s:e], covs[s:e], dirac[s:e])
+        for s, e in zip([0] + ends, ends)
+    ]
 
 
 def mb_to_dict(mb: MBDensity) -> dict:

@@ -8,8 +8,19 @@ Directory layout::
       runs/run001/...
 
 Estimate files may hold MB densities or MB mixtures (the mixture is scored
-as the weighted sum of per-component metric values).  Every run must
-provide exactly the time-step files present under ``truth/``.
+as the weighted sum of per-component metric values); a document is read
+by ``model.doc_kind``, as ``eval`` reads it.  Every run must provide
+exactly the time-step files present under ``truth/``.
+
+The truths, and then each run, are scored in one array pass: every
+document is parsed and turned at once into unchecked field arrays, the
+stacked fields of all steps are checked once, the distances of all steps
+go through one ``pairwise_blocks`` call, each step in ``pgospa``'s
+orientation, and each step is scored by ``metric._score``.  If anything
+in a run's pass refuses or raises (a mixture, a faulty or odd document, a
+dimension mismatch, a base-distance fault), the run is scored step by
+step through ``pgospa`` and ``mbm_pgospa`` instead, which raises the
+first fault in step order.  Both give bit-identical totals and terms.
 
 Aggregation: at each time step the root-mean-square value is
 (mean over runs of total^p)^(1/p).  Decomposition series, which live in
@@ -31,14 +42,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .distances import BaseDistanceKind
-from .metric import mbm_pgospa, pgospa
+from .distances import BaseDistanceKind, pairwise_blocks
+from .metric import _oriented, _score, mbm_pgospa, pgospa
 from .model import (
     MBDensity,
     MBMixture,
     MetricParams,
+    _document_fields,
     _point_masses,
+    _split_densities,
     canonical_json,
+    doc_kind,
     load_document,
     mb_from_dict,
     mb_to_dict,
@@ -72,12 +86,64 @@ def _timestep_files(directory: Path) -> dict:
     return files
 
 
+# what the step loop reports (cli exit codes 2 and 3); any other exception
+# is a fault of the program and propagates from the array pass as it is
+_STEP_ERRORS = (ValueError, OSError, RuntimeError)
+
+
+def _densities(paths) -> list | None:
+    """The MB densities of the documents at ``paths`` from one array pass:
+    each document is parsed and turned at once into unchecked field arrays,
+    then all of them are checked in one pass over their stack.  None if a
+    document is not a clean MB document or anything raises."""
+    fields = []
+    try:
+        for path in paths:
+            doc_fields = _document_fields(load_document(path))
+            if doc_fields is None:
+                return None
+            fields.append(doc_fields)
+        return _split_densities(fields)
+    except _STEP_ERRORS:
+        return None
+
+
+def _run_pass(paths, truths, params, base) -> list | None:
+    """The ``_score`` results of one run's steps from one array pass: its
+    documents through ``_densities``, the distances of all steps through
+    one ``pairwise_blocks`` call, each step in ``pgospa``'s orientation.
+    None if anything refuses or raises; the caller then scores the run
+    step by step, which reports its first fault."""
+    estimates = _densities(paths)
+    if estimates is None:
+        return None
+    try:
+        steps = [_oriented(est, truth) for est, truth in zip(estimates, truths)]
+        Ds = pairwise_blocks([(a, b) for a, b, _ in steps], base, c=params.c)
+        return [
+            _score(a.r, b.r, D, params, base, swapped=swapped)
+            for (a, b, swapped), D in zip(steps, Ds)
+        ]
+    except _STEP_ERRORS:
+        return None
+
+
+def _step_score(path, truth, params, base):
+    """One step scored on its own: a ``pgospa`` result, or the total of a
+    mixture estimate."""
+    doc = load_document(path)
+    if doc_kind(doc) == "mbm":
+        return mbm_pgospa(mbm_from_dict(doc), truth, params, base)
+    return pgospa(mb_from_dict(doc), truth, params, base)
+
+
 def evaluate_run_dir(
     run_dir,
     params: MetricParams,
     base: BaseDistanceKind = BaseDistanceKind.W2,
 ) -> RunSeries:
     run_dir = Path(run_dir)
+    base = BaseDistanceKind(base)
     truth_dir = run_dir / "truth"
     runs_dir = run_dir / "runs"
     if not truth_dir.is_dir() or not runs_dir.is_dir():
@@ -88,7 +154,9 @@ def evaluate_run_dir(
     if not run_names:
         raise ValueError(f"no run subdirectories found in {runs_dir}")
 
-    truths = {name: mb_from_dict(load_document(path)) for name, path in truth_files.items()}
+    truths = _densities(truth_files.values())
+    if truths is None:
+        truths = [mb_from_dict(load_document(path)) for path in truth_files.values()]
 
     totals = np.zeros((len(run_names), len(labels)))
     decomp = {key: np.zeros_like(totals) for key in DECOMP_KEYS}
@@ -100,20 +168,21 @@ def evaluate_run_dir(
             raise ValueError(
                 f"missing/misaligned run files in {rdir}: expected {list(labels)}"
             )
-        for ti, name in enumerate(labels):
-            doc = load_document(run_files[name])
-            if isinstance(doc, dict) and "mixture" in doc:
-                mix = mbm_from_dict(doc)
-                totals[ri, ti] = mbm_pgospa(mix, truths[name], params, base)
+        paths = run_files.values()
+        scores = _run_pass(paths, truths, params, base)
+        if scores is None:
+            scores = [_step_score(*step, params, base) for step in zip(paths, truths)]
+        for ti, res in enumerate(scores):
+            if isinstance(res, float):  # a mixture's total
+                totals[ri, ti] = res
                 decomposable = False
-            else:
-                res = pgospa(mb_from_dict(doc), truths[name], params, base)
-                totals[ri, ti] = res.total
-                if decomposable:
-                    decomp["localization"][ri, ti] = res.localization
-                    decomp["existence_mismatch"][ri, ti] = res.existence_mismatch
-                    decomp["missed"][ri, ti] = res.missed
-                    decomp["false"][ri, ti] = res.false_det
+                continue
+            totals[ri, ti] = res.total
+            if decomposable:
+                decomp["localization"][ri, ti] = res.localization
+                decomp["existence_mismatch"][ri, ti] = res.existence_mismatch
+                decomp["missed"][ri, ti] = res.missed
+                decomp["false"][ri, ti] = res.false_det
     return RunSeries(
         totals=totals,
         decomposition=decomp if decomposable else None,

@@ -122,6 +122,16 @@ class TestEval:
         assert doc["total"] == pytest.approx(3.0, abs=1e-12)
         assert len(doc["mixture"]["entries"]) == 2
 
+    def test_document_with_components_and_mixture_is_an_mb(self, tmp_path, capsys):
+        # read as montecarlo reads it: the empty MB, not the mixture entry
+        ref = write(tmp_path / "ref.json", mb_doc(dirac(1.0, 0.0), dirac(1.0, 50.0)))
+        both = {"mixture": [{"weight": 1, "mb": mb_doc(dirac(1.0, 3.0))}], "components": []}
+        code, out, _ = run(capsys, "eval", write(tmp_path / "both.json", both), ref)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["total"] == 10.0
+        assert doc["decomposition"]["false"] == 100.0
+
     def test_point_sets_route(self, tmp_path, capsys):
         fx = write(tmp_path / "x.json", {"points": [[0.0]]})
         fy = write(tmp_path / "y.json", {"points": [[2.0]]})
