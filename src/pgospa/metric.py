@@ -157,9 +157,10 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
         alt = sorted(zip(rid.tolist(), cid.tolist()))
         if (i, j) in alt:
             continue
-        cols = {jj for _, jj in alt}
-        total_p = sum(float(pair_cost[a, b]) for a, b in alt)
-        total_p += sum(float(ry[jj] * cpa) for jj in range(n) if jj not in cols)
+        # scipy returns the rows sorted: the pairs in the order of ``alt``
+        free = np.ones(n, dtype=bool)
+        free[cid] = False
+        total_p = _left_sum(pair_cost[rid, cid]) + _left_sum(ry[free] * cpa)
         if {pair for pair in alt if reported[pair]} != shown:
             best = min(best, total_p)
     return best

@@ -7,10 +7,12 @@ Dirac point mass).  ``MBDensity`` holds it as four arrays, its only state:
 Dirac mask ``dirac`` (n,); ``components``, ``densities`` and ``mb[k]`` are
 views built from them.  ``MBDensity.from_arrays`` builds one from copies of
 those arrays, checked in one pass that also puts the covariances in normal
-form in one batched call.  A clean document takes one structural pass over
-its components, then the same checks on its stacked fields; a per-field
-walk decides faulty and odd documents and is the only code that reports a
-fault.  An MB mixture adds normalized weights over several MB densities.
+form in one batched call.  Clean documents, one or a whole Monte Carlo
+run of them, take one structural pass over their components, then those
+same checks once on the stack of their fields.  A per-field walk decides
+faulty and odd documents: it builds each component in document order with
+the public constructors and is the only code that reports a fault.  An MB
+mixture adds normalized weights over several MB densities.
 All types are immutable after construction and safe to share across
 threads; numpy arrays are stored read-only.
 
@@ -62,7 +64,6 @@ __all__ = [
     "mbm_from_dict",
     "mbm_to_dict",
     "points_from_dict",
-    "points_to_dict",
     "doc_kind",
     "load_document",
     "load_mb",
@@ -195,19 +196,6 @@ def _clamp_psd(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _gaussian_fields(mean, cov) -> tuple:
-    """Mean vector and covariance, checked but not in PSD normal form."""
-    mean = _state_vector(mean, "gaussian mean")
-    cov = _float_array(cov, "covariance")
-    if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
-        raise SchemaError(
-            f"covariance must be {mean.size}x{mean.size}, got {cov.shape}"
-        )
-    if not np.all(np.isfinite(cov)):
-        raise SchemaError("covariance contains non-finite entries")
-    return mean, cov
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianDensity:
     """Gaussian single-object density with mean vector and PSD covariance."""
@@ -216,7 +204,14 @@ class GaussianDensity:
     cov: np.ndarray
 
     def __init__(self, mean, cov):
-        mean, cov = _gaussian_fields(mean, cov)
+        mean = _state_vector(mean, "gaussian mean")
+        cov = _float_array(cov, "covariance")
+        if cov.ndim != 2 or cov.shape != (mean.size, mean.size):
+            raise SchemaError(
+                f"covariance must be {mean.size}x{mean.size}, got {cov.shape}"
+            )
+        if not np.all(np.isfinite(cov)):
+            raise SchemaError("covariance contains non-finite entries")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _readonly(_psd_normal_form(cov[None])[0]))
 
@@ -265,21 +260,6 @@ class BernoulliComponent:
     @property
     def dim(self) -> int:
         return self.density.dim
-
-
-def _stack(rs: list, means: list, covs: list) -> tuple:
-    """The (r, means, covs, dirac) arrays of n checked components; a None
-    covariance marks a Dirac, and means of several lengths a mismatch."""
-    try:
-        stacked = np.array(means, dtype=float) if means else np.zeros((0, 0))
-    except ValueError:
-        dims = sorted({m.shape[0] for m in means})
-        raise DimensionMismatchError(f"components mix state dimensions {dims}") from None
-    dim = stacked.shape[1]
-    zero = np.zeros((dim, dim))
-    cov_stack = np.concatenate([zero if c is None else c for c in covs] or [zero[:0]])
-    dirac = np.array([c is None for c in covs], dtype=bool)
-    return np.array(rs, dtype=float), stacked, cov_stack.reshape(len(covs), dim, dim), dirac
 
 
 def _checked_fields(r, means, covs, dirac) -> tuple:
@@ -338,7 +318,17 @@ class MBDensity:
         dens = [c.density for c in components]
         covs = [None if isinstance(d, DiracDensity) else d.cov for d in dens]
         means = [d.location if c is None else d.mean for d, c in zip(dens, covs)]
-        _fill(self, *_stack([c.r for c in components], means, covs))
+        try:
+            stacked = np.array(means, dtype=float) if means else np.zeros((0, 0))
+        except ValueError:
+            dims = sorted({m.shape[0] for m in means})
+            raise DimensionMismatchError(f"components mix state dimensions {dims}") from None
+        dim = stacked.shape[1]
+        zero = np.zeros((dim, dim))
+        cov_stack = np.concatenate([zero if c is None else c for c in covs] or [zero[:0]])
+        dirac = np.array([c is None for c in covs], dtype=bool)
+        _fill(self, np.array([c.r for c in components], dtype=float), stacked,
+              cov_stack.reshape(len(covs), dim, dim), dirac)
 
     @classmethod
     def from_arrays(cls, r, means, covs, dirac) -> "MBDensity":
@@ -535,24 +525,49 @@ def _unchecked_fields(raw: list, allow_zero_existence: bool):
         return None
 
 
-def _stacked_fields(raw: list, allow_zero_existence: bool):
-    """The checked (r, means, covs, dirac) arrays of a clean non-empty
-    components list, or None when any doubt remains: ``_unchecked_fields``,
-    then each field checked once on its whole-document stack.  Nothing here
-    raises: a fault or an odd input returns None, and the per-field walk
-    decides the document and reports its fault."""
-    fields = _unchecked_fields(raw, allow_zero_existence)
+def _stacked_mbs(raws, allow_zero_existence: bool):
+    """The MB densities of the components lists ``raws``, or None when any
+    doubt remains.  Each list is turned into unchecked arrays as it is
+    reached, all of them are checked in one ``_checked_fields`` pass over
+    their stack, and the stack is sliced back into one density per list.
+    A list with a fault or an odd input, anything that is not a list, or
+    lists of several state dimensions give None; nothing here raises, but
+    an error raised while iterating ``raws`` propagates."""
+    fields, sizes = [], []
+    for raw in raws:
+        if type(raw) is not list:
+            return None
+        if raw:
+            unchecked = _unchecked_fields(raw, allow_zero_existence)
+            if unchecked is None:
+                return None
+            fields.append(unchecked)
+        sizes.append(len(raw))
     try:
-        return None if fields is None else _checked_fields(*fields)
-    except ValueError:  # SchemaError, DimensionMismatchError
+        if len(fields) == 1:
+            stack = fields[0]
+        elif fields:
+            stack = map(np.concatenate, zip(*fields))
+        else:
+            stack = np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, bool)
+        r, means, covs, dirac = _checked_fields(*stack)
+    except ValueError:  # SchemaError, DimensionMismatchError, mixed dimensions
         return None
+    mbs, start = [], 0
+    for n in sizes:
+        end = start + n
+        mbs.append(_fill(object.__new__(MBDensity), r[start:end], means[start:end],
+                         covs[start:end], dirac[start:end]))
+        start = end
+    return mbs
 
 
-def _walked_fields(raw: list, allow_zero_existence: bool):
-    """The (r, means, covs, dirac) arrays of a components list, each field
-    checked in document order, then all covariances in one batched pass;
-    raises the document's ``SchemaError`` or ``DimensionMismatchError``."""
-    rs, means, covs = [], [], []
+def _walked_mb(raw: list, allow_zero_existence: bool) -> MBDensity:
+    """The MB density of a components list, each component checked in
+    document order and built by the component constructors, then the
+    components' state dimensions against each other; raises the first
+    fault as ``SchemaError`` or ``DimensionMismatchError``."""
+    components = []
     for k, item in enumerate(raw):
         item = _require_mapping(item, f"component {k}")
         if "r" not in item or "density" not in item:
@@ -567,26 +582,24 @@ def _walked_fields(raw: list, allow_zero_existence: bool):
         if kind == "gaussian":
             if "mean" not in density or "cov" not in density:
                 raise SchemaError("gaussian density requires 'mean' and 'cov'")
-            mean, cov = _gaussian_fields(density["mean"], density["cov"])
+            density = GaussianDensity(density["mean"], density["cov"])
         elif kind == "dirac":
             if "location" not in density:
                 raise SchemaError("dirac density requires 'location'")
-            mean, cov = _state_vector(density["location"], "dirac location"), None
+            density = DiracDensity(density["location"])
         else:
             raise SchemaError(f"unknown density type {kind!r}")
-        rs.append(r)
-        means.append(mean)
-        covs.append(cov)
-    return _checked_fields(*_stack(rs, means, covs))
+        components.append(BernoulliComponent(r, density))
+    return MBDensity(components)
 
 
 def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
     """Validate a parsed MB description.  A clean document takes one
     structural pass and one check per stacked field; any fault or odd input
     (extra keys, integers beyond 64 bits, ...) is decided by the per-field
-    walk, the only code that raises.  The walk checks each field in
-    document order, then all covariances in one batched pass, so a document
-    with several faults may report one that is not its first.
+    walk, the only code that raises.  The walk checks each component in
+    document order and reports the first faulty one; state dimensions that
+    differ between components are reported after every component passed.
     ``allow_zero_existence`` relaxes the default (0, 1] range to [0, 1]."""
     data = _require_mapping(data, "MB density")
     if "components" not in data:
@@ -594,10 +607,8 @@ def mb_from_dict(data, allow_zero_existence: bool = False) -> MBDensity:
     raw = data["components"]
     if not isinstance(raw, list):
         raise SchemaError("'components' must be a list")
-    fields = _stacked_fields(raw, allow_zero_existence) if raw else None
-    if fields is None:
-        fields = _walked_fields(raw, allow_zero_existence)
-    return _fill(object.__new__(MBDensity), *fields)
+    mbs = _stacked_mbs((raw,), allow_zero_existence)
+    return _walked_mb(raw, allow_zero_existence) if mbs is None else mbs[0]
 
 
 def doc_kind(data) -> str | None:
@@ -609,32 +620,6 @@ def doc_kind(data) -> str | None:
             if key in data:
                 return kind
     return None
-
-
-def _document_fields(data):
-    """The unchecked (r, means, covs, dirac) arrays of a clean MB document
-    with every r > 0, zero rows for an empty one, or None for any other
-    document."""
-    raw = data.get("components") if doc_kind(data) == "mb" else None
-    if type(raw) is not list:
-        return None
-    if not raw:
-        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, bool)
-    return _unchecked_fields(raw, False)
-
-
-def _split_densities(fields: list) -> list:
-    """The MB densities of a list of ``_document_fields`` results, checked
-    in one ``_checked_fields`` pass over their stack; raises on any fault,
-    and on documents of several state dimensions."""
-    sizes = [len(f[0]) for f in fields]
-    live = [f for f in fields if len(f[0])] or fields[:1]
-    r, means, covs, dirac = _checked_fields(*map(np.concatenate, zip(*live)))
-    ends = np.cumsum(sizes).tolist()
-    return [
-        _fill(object.__new__(MBDensity), r[s:e], means[s:e], covs[s:e], dirac[s:e])
-        for s, e in zip([0] + ends, ends)
-    ]
 
 
 def mb_to_dict(mb: MBDensity) -> dict:
@@ -691,10 +676,6 @@ def points_from_dict(data) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise SchemaError("point set contains non-finite entries")
     return arr
-
-
-def points_to_dict(points: np.ndarray) -> dict:
-    return {"points": np.asarray(points, dtype=float).tolist()}
 
 
 def canonical_json(obj) -> str:

@@ -12,15 +12,18 @@ as the weighted sum of per-component metric values); a document is read
 by ``model.doc_kind``, as ``eval`` reads it.  Every run must provide
 exactly the time-step files present under ``truth/``.
 
-The truths, and then each run, are scored in one array pass: every
-document is parsed and turned at once into unchecked field arrays, the
-stacked fields of all steps are checked once, the distances of all steps
-go through one ``pairwise_blocks`` call, each step in ``pgospa``'s
-orientation, and each step is scored by ``metric._score``.  If anything
-in a run's pass refuses or raises (a mixture, a faulty or odd document, a
-dimension mismatch, a base-distance fault), the run is scored step by
-step through ``pgospa`` and ``mbm_pgospa`` instead, which raises the
-first fault in step order.  Both give bit-identical totals and terms.
+The truths, and then each run, are scored in one array pass.  Their
+documents go through one ``model._stacked_mbs`` call, the reader behind
+``mb_from_dict``: each is parsed and turned at once into unchecked field
+arrays, and the stacked fields of all steps are checked once.  The
+distances of all steps go through one ``pairwise_blocks`` call, each step
+in ``pgospa``'s orientation, and each step is scored by
+``metric._score``.  Truths that the reader refuses are read one document
+at a time through ``mb_from_dict``, which raises the first fault.  If
+anything in a run's pass refuses or raises (a mixture, a faulty or odd
+document, a dimension mismatch, a base-distance fault), the run is scored
+step by step through ``pgospa`` and ``mbm_pgospa`` instead, which raises
+the first fault in step order.  Both give bit-identical totals and terms.
 
 Aggregation: at each time step the root-mean-square value is
 (mean over runs of total^p)^(1/p).  Decomposition series, which live in
@@ -48,9 +51,8 @@ from .model import (
     MBDensity,
     MBMixture,
     MetricParams,
-    _document_fields,
     _point_masses,
-    _split_densities,
+    _stacked_mbs,
     canonical_json,
     doc_kind,
     load_document,
@@ -92,18 +94,16 @@ _STEP_ERRORS = (ValueError, OSError, RuntimeError)
 
 
 def _densities(paths) -> list | None:
-    """The MB densities of the documents at ``paths`` from one array pass:
-    each document is parsed and turned at once into unchecked field arrays,
-    then all of them are checked in one pass over their stack.  None if a
-    document is not a clean MB document or anything raises."""
-    fields = []
+    """The MB densities of the documents at ``paths`` from one
+    ``_stacked_mbs`` call: each document is parsed and turned at once into
+    unchecked field arrays, then all of them are checked in one pass over
+    their stack.  None if a document is not a clean MB document or
+    anything raises."""
+    docs = map(load_document, paths)
     try:
-        for path in paths:
-            doc_fields = _document_fields(load_document(path))
-            if doc_fields is None:
-                return None
-            fields.append(doc_fields)
-        return _split_densities(fields)
+        return _stacked_mbs(
+            (doc["components"] if doc_kind(doc) == "mb" else None for doc in docs), False
+        )
     except _STEP_ERRORS:
         return None
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from pgospa import (
     BaseDistanceKind,
     BernoulliComponent,
+    DimensionMismatchError,
     DiracDensity,
     GaussianDensity,
     MBDensity,
@@ -223,6 +224,12 @@ class TestPairwise:
 
     def test_empty_sides(self):
         assert pairwise_base_distance([], [DiracDensity([0.0])]).shape == (0, 1)
+
+    def test_mixed_dimensions_raise(self, rng):
+        x = MBDensity([BernoulliComponent(0.5, make_gaussian(rng, 2))])
+        y = MBDensity([BernoulliComponent(0.5, make_gaussian(rng, 3))])
+        with pytest.raises(DimensionMismatchError, match=r"mix state dimensions \[2, 3\]"):
+            pairwise_base_distance(x, y)
 
     def test_cutoff_gate_equals_clipped_full_matrix(self, rng):
         def density(mean):

@@ -9,6 +9,7 @@ from pgospa import (
     DiracDensity,
     GaussianDensity,
     MBDensity,
+    MBMixture,
     MetricParams,
     SchemaError,
     append_zero_components,
@@ -19,6 +20,7 @@ from pgospa import (
     serialize_mb,
 )
 from pgospa import model
+from pgospa.cli import main
 
 from conftest import make_mb
 
@@ -165,6 +167,17 @@ def test_mixture_renormalizes_and_warns():
         mbm_from_dict({"mixture": []})
     with pytest.raises(SchemaError):
         mbm_from_dict({"mixture": [{"weight": -0.2, "mb": mb}]})
+
+
+def test_mixture_rejects_bad_entries():
+    one = mb_from_dict(mb_doc([gauss(0.5, [0.0], [[1.0]])]))
+    two = mb_from_dict(mb_doc([gauss(0.5, [0.0, 1.0], np.eye(2).tolist())]))
+    with pytest.raises(SchemaError, match="must wrap MBDensity values"):
+        MBMixture([(0.5, one), (0.5, mb_doc([]))])
+    with pytest.raises(DimensionMismatchError, match=r"mix state dimensions \[1, 2\]"):
+        MBMixture([(0.5, one), (0.5, two)])
+    with pytest.raises(SchemaError, match="positive finite sum"):
+        MBMixture([(0.0, one), (0.0, one)])
 
 
 def test_points_schema():
@@ -486,22 +499,54 @@ def test_fault_in_every_row_message(fault):
     assert str(info.value) == message
 
 
+# Several faults: the walk checks each component in document order, so the
+# first faulty component decides the message.
+ASYMMETRIC_3 = "covariance is not symmetric (max asymmetry 1e-06 > 1e-09)"
+
+
+def asymmetric_3_document(fault_7):
+    """A clean all-Gaussian 4-D document with an asymmetric covariance in
+    component 3 and ``fault_7`` applied to component 7."""
+    comps = clean_components(diracs=())
+    comps[3] = with_cov_entry(comps[3], comps[3]["density"]["cov"][2][1] + 1e-6,
+                              symmetric=False)
+    comps[7] = fault_7(comps[7])
+    return mb_doc(comps)
+
+
+def test_walk_reports_the_first_faulty_component():
+    with pytest.raises(SchemaError) as info:
+        mb_from_dict(asymmetric_3_document(lambda c: {**c, "r": 1.5}))
+    assert str(info.value) == ASYMMETRIC_3
+
+
+def test_covariance_fault_precedes_a_later_dimension_mismatch(tmp_path, capsys):
+    doc = asymmetric_3_document(lambda c: gauss(c["r"], [0.0, 1.0, 2.0], np.eye(3).tolist()))
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", str(path), str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {ASYMMETRIC_3}"
+
+
 def assert_same_arrays(got, want):
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
 
 
+def fields(mb):
+    return mb.r, mb.means, mb.covs, mb.dirac
+
+
 def fast_and_walk(doc, allow_zero_existence=False):
     """The fields from both validation paths, and the arrays of the MB."""
     raw = doc["components"]
-    mb = mb_from_dict(doc, allow_zero_existence)
-    arrays = (mb.r, mb.means, mb.covs, mb.dirac)
-    stacked = model._stacked_fields(raw, allow_zero_existence)
-    walked = model._walked_fields(raw, allow_zero_existence)
+    arrays = fields(mb_from_dict(doc, allow_zero_existence))
+    stacked = model._stacked_mbs([raw], allow_zero_existence)
+    walked = fields(model._walked_mb(raw, allow_zero_existence))
     assert_same_arrays(arrays, walked)
     if stacked is not None:
-        assert_same_arrays(stacked, walked)
+        assert_same_arrays(fields(stacked[0]), walked)
     return stacked is not None, arrays
 
 
@@ -582,7 +627,7 @@ def raw_arrays(raw):
     ids=["mixed", "all-dirac", "all-gaussian", "clamp-band"],
 )
 def test_from_arrays_equals_the_walk(raw):
-    walked = model._walked_fields(raw, False)
+    walked = fields(model._walked_mb(raw, False))
     mb = MBDensity.from_arrays(*raw_arrays(raw))
     assert_same_arrays((mb.r, mb.means, mb.covs, mb.dirac), walked)
     again = MBDensity.from_arrays(*walked)

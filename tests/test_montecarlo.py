@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import math
 from pathlib import Path
@@ -148,6 +149,10 @@ def per_step(run_dir: Path, params, base):
     return totals, terms
 
 
+def no_fallback(*args):
+    raise AssertionError("the run fell back to per-step scoring")
+
+
 @pytest.mark.parametrize(
     "kind, alpha, base",
     [(kind, alpha, "w2") for kind in KINDS for alpha in (2.0, 1.0)]
@@ -159,9 +164,6 @@ def test_array_pass_equals_per_step_scoring(tmp_path, monkeypatch, kind, alpha, 
     # one empty estimate: a step with no rows
     (root / "runs" / "run001" / "t002.json").write_text('{"components":[]}\n')
     if kind != "mixture":  # MB runs never fall back to the step loop
-        def no_fallback(*args):
-            raise AssertionError("the run fell back to per-step scoring")
-
         monkeypatch.setattr(montecarlo, "_step_score", no_fallback)
     params = MetricParams(c=3.0, p=2.0, alpha=alpha)
     series = evaluate_run_dir(root, params, BaseDistanceKind(base))
@@ -189,9 +191,27 @@ def fault_hellinger(runs):
     return ["--base", "hellinger"]
 
 
+def fault_hellinger_clean(runs):
+    return ["--base", "hellinger"]  # every document is clean: the distances refuse
+
+
 def fault_dimension(runs):
     gauss_doc(runs / "run000" / "t001.json", [1.0, 2.0, 3.0])
     break_json(runs / "run000" / "t002.json")
+    return []
+
+
+def fault_dimension_clean(runs):
+    for path in (runs / "run000").glob("*.json"):
+        gauss_doc(path, [1.0, 2.0, 3.0])
+    return []
+
+
+def fault_truth_range(runs):
+    path = runs.parent / "truth" / "t002.json"
+    doc = load_document(path)
+    doc["components"][1]["r"] = 1.5
+    path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
     return []
 
 
@@ -214,7 +234,10 @@ def fault_list(runs):
     "fault, code, message",
     [
         (fault_hellinger, 3, "error: Hellinger distance requires Gaussian densities"),
+        (fault_hellinger_clean, 3, "error: Hellinger distance requires Gaussian densities"),
         (fault_dimension, 3, "error: MB densities have dimensions 3 and 2"),
+        (fault_dimension_clean, 3, "error: MB densities have dimensions 3 and 2"),
+        (fault_truth_range, 2, "error: component 1: existence probability out of range (r=1.5)"),
         (fault_range, 2, "error: component 0: existence probability out of range (r=1.5)"),
         (fault_points, 2, "error: MB density requires a 'components' list"),
         (fault_list, 2, "error: MB density must be a JSON object, got list"),
@@ -227,6 +250,21 @@ def test_run_faults_report_the_first_step_error(tmp_path, capsys, fault, code, m
     flags = fault(root / "runs")
     assert main(["montecarlo", str(root), "--out", str(tmp_path / "o.csv"), *flags]) == code
     assert capsys.readouterr().err.strip() == message
+
+
+def test_truth_document_with_an_extra_key_is_scored(tmp_path, monkeypatch):
+    # the truths fall back to one document at a time; the runs keep their pass
+    root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=4, n_objects=3, seed=6)
+    path = root / "truth" / "t001.json"
+    doc = load_document(path)
+    doc["components"][0]["label"] = "object 0"
+    path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    monkeypatch.setattr(montecarlo, "_step_score", no_fallback)
+    series = evaluate_run_dir(root, P2)
+    totals, terms = per_step(root, P2, BaseDistanceKind.W2)
+    assert series.totals.tobytes() == totals.tobytes()
+    for key in TERMS:
+        assert series.decomposition[key].tobytes() == terms[key].tobytes(), key
 
 
 def test_document_with_components_and_mixture_is_an_mb(tmp_path):
@@ -252,16 +290,21 @@ def test_assignment_fault_reaches_the_array_pass(tmp_path, monkeypatch):
     assert (tmp_path / "o.csv").read_text() != good
 
 
-@pytest.mark.parametrize(
-    "module, names",
-    [
-        (montecarlo, ("load_document", "mb_from_dict", "mbm_from_dict", "pgospa",
-                             "mbm_pgospa", "evaluate_run_dir", "write_rms_csv")),
-        (metric, ("pairwise_base_distance", "solve_assignment",
-                         "linear_sum_assignment", "pgospa")),
-    ],
-)
-def test_traced_bindings_stay_bound(module, names):
-    # the benchmark's tracer replaces these module attributes by name
-    for name in names:
-        assert callable(getattr(module, name)), name
+def test_traced_bindings_stay_bound():
+    # the benchmark's tracer replaces module attributes by name: every one
+    # it lists must exist, and each goes back when the tracer is removed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    bound = [(module, attr, getattr(module, attr)) for module, attr, *_ in tracer._targets]
+    assert all(callable(fn) for *_, fn in bound)
+    try:
+        tracer.install()
+        for module, attr, fn in bound:
+            assert getattr(module, attr) is not fn, attr
+    finally:
+        tracer.uninstall()
+    for module, attr, fn in bound:
+        assert getattr(module, attr) is fn, attr
