@@ -290,9 +290,24 @@ def test_assignment_fault_reaches_the_array_pass(tmp_path, monkeypatch):
     assert (tmp_path / "o.csv").read_text() != good
 
 
-def test_traced_bindings_stay_bound():
-    # the benchmark's tracer replaces module attributes by name: every one
-    # it lists must exist, and each goes back when the tracer is removed
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (montecarlo, ("load_document", "mb_from_dict", "mbm_from_dict", "pgospa",
+                             "mbm_pgospa", "evaluate_run_dir", "write_rms_csv")),
+        (metric, ("pairwise_base_distance", "solve_assignment",
+                         "linear_sum_assignment", "pgospa")),
+    ],
+)
+def test_traced_bindings_stay_bound(module, names):
+    # the benchmark's tracer replaces these module attributes by name
+    for name in names:
+        assert callable(getattr(module, name)), name
+
+
+def test_tracer_installs_and_removes_every_binding():
+    # every attribute the benchmark's tracer lists must exist, and each goes
+    # back when the tracer is removed
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
