@@ -37,18 +37,36 @@ from .model import (
     points_from_dict,
     serialize_mb,
 )
-from .oracles import (
-    GridDensity,
-    GridOTResult,
-    TransportPlan,
-    bernoulli_ot_dirac,
-    bernoulli_ot_grid,
-    brute_force_assignment_sets,
-    brute_force_pgospa,
-    qospa_base,
-)
 
 __version__ = "0.1.0"
+
+# The oracles need scipy.optimize and scipy.sparse, which take a cold
+# process about 0.45 s to import; they load on the first use of one of
+# these names (PEP 562).
+_ORACLE_NAMES = frozenset(
+    {
+        "GridDensity",
+        "GridOTResult",
+        "TransportPlan",
+        "bernoulli_ot_dirac",
+        "bernoulli_ot_grid",
+        "brute_force_assignment_sets",
+        "brute_force_pgospa",
+        "qospa_base",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)
 
 __all__ = [
     "Assignment",

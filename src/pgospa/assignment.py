@@ -2,14 +2,16 @@
 
 ``solve_assignment`` matches every index of the smaller side of an m x n
 cost matrix one-to-one into the larger side at globally minimal total
-cost.  The optimum is found with scipy's shortest-augmenting-path solver;
-a complementary-slackness refinement then selects the lexicographically
-smallest optimal pair list in one walk over the graph of tight edges, so
-results are reproducible when several matchings tie.  The refinement runs
-for matrices up to ``LEX_REFINE_MAX`` on a side; beyond that the solver's
-(deterministic) matching is returned directly, since exact ties are a
-measure-zero event for real-valued costs at that scale.  A 1 x 1 matrix
-has one matching and is not refined.
+cost.  The optimum is found with scipy's shortest-augmenting-path solver,
+which is imported on the first solve: ``scipy.optimize`` costs a cold
+process about 0.45 s, and a 1 x 1 matrix, which has one matching, needs
+no solver.  A complementary-slackness refinement then selects the
+lexicographically smallest optimal pair list in one walk over the graph
+of tight edges, so results are reproducible when several matchings tie.
+The refinement runs for matrices up to ``LEX_REFINE_MAX`` on a side;
+beyond that the solver's (deterministic) matching is returned directly,
+since exact ties are a measure-zero event for real-valued costs at that
+scale.
 
 ``enumerate_assignment`` is an independent brute-force oracle over all
 injections, limited to max(m, n) <= 8, applying the same tie-break rule.
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["Assignment", "solve_assignment", "enumerate_assignment", "LEX_REFINE_MAX"]
 
@@ -37,6 +38,17 @@ class Assignment:
 
     pairs: tuple
     total_cost: float
+
+
+def linear_sum_assignment(costs):
+    """scipy's ``linear_sum_assignment``, imported on the first call.
+
+    Callers look this name up in their module globals on every solve, so a
+    wrapper set on ``assignment.linear_sum_assignment`` or
+    ``metric.linear_sum_assignment`` sees each call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(costs)
 
 
 def _left_sum(values) -> float:
@@ -75,9 +87,11 @@ def solve_assignment(costs) -> Assignment:
     m, n = C.shape
     if min(m, n) == 0:
         return Assignment((), 0.0)
+    if m == n == 1:
+        return Assignment(((0, 0),), _pairs_total(C, ((0, 0),)))
     rid, cid = linear_sum_assignment(C)
     pairs = sorted(zip(rid.tolist(), cid.tolist()))
-    if 1 < max(m, n) <= LEX_REFINE_MAX:
+    if max(m, n) <= LEX_REFINE_MAX:
         pairs = _lex_refine(C, pairs)
     return Assignment(tuple(pairs), _pairs_total(C, pairs))
 

@@ -9,6 +9,9 @@ one distance row and the pair formula of ``pgospa`` over its whole grid,
 with the bits of one 1 x 1 call per point.  Single results are printed
 as JSON; series are written as CSV with 12-significant-digit decimals and
 LF line endings, so repeated runs with identical inputs are byte-identical.
+The ``oracle`` and ``selfcheck`` commands import their modules when they
+run: those need ``scipy.optimize``, which ``eval`` loads only for a
+matrix larger than 1 x 1.
 
 Exit codes: 0 ok, 1 property violation (selfcheck), 2 parse error,
 3 semantic error (dimension mismatch, incompatible inputs, bad paths).
@@ -44,14 +47,7 @@ from .model import (
     mbm_from_dict,
     points_from_dict,
 )
-from .oracles import (
-    bernoulli_ot_dirac,
-    bernoulli_ot_grid,
-    brute_force_pgospa,
-    qospa_base,
-)
 from .assignment import enumerate_assignment
-from .selfcheck import faulty_solver, run_selfcheck
 
 EXAMPLE1_PARAMS = MetricParams(c=5.0, p=1.0, alpha=2.0)
 
@@ -242,6 +238,8 @@ def cmd_synth_runs(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from .selfcheck import faulty_solver, run_selfcheck
+
     if args.inject_fault:
         report = run_selfcheck(seed=args.seed, solver=faulty_solver)
     else:
@@ -262,6 +260,8 @@ def cmd_oracle_assign(args) -> int:
 
 
 def cmd_oracle_pgospa(args) -> int:
+    from .oracles import brute_force_pgospa
+
     fx = mb_from_dict(load_document(args.file_x), args.allow_zero_r)
     fy = mb_from_dict(load_document(args.file_y), args.allow_zero_r)
     value = brute_force_pgospa(fx, fy, _params(args), BaseDistanceKind(args.base))
@@ -280,6 +280,8 @@ def _single_component(path, allow0=False, dirac_for=None) -> BernoulliComponent:
 
 
 def cmd_oracle_ot_dirac(args) -> int:
+    from .oracles import bernoulli_ot_dirac
+
     bx = _single_component(args.file_x, True, "ot-dirac")
     by = _single_component(args.file_y, True, "ot-dirac")
     value = bernoulli_ot_dirac(
@@ -290,6 +292,8 @@ def cmd_oracle_ot_dirac(args) -> int:
 
 
 def cmd_oracle_ot_grid(args) -> int:
+    from .oracles import bernoulli_ot_grid
+
     bx = _single_component(args.file_x, True)
     by = _single_component(args.file_y, True)
     res = bernoulli_ot_grid(bx, by, _params(args), resolution=args.resolution)
@@ -305,6 +309,8 @@ def cmd_oracle_ot_grid(args) -> int:
 
 
 def cmd_oracle_qospa(args) -> int:
+    from .oracles import qospa_base
+
     bx = _single_component(args.file_x, True, "qospa")
     by = _single_component(args.file_y, True, "qospa")
     value = qospa_base(

@@ -35,7 +35,10 @@ its result is by definition the metric above on the lifted MB densities
 (all existence probabilities one, Dirac densities at the points) with the
 Euclidean base distance, and it calls ``pgospa`` on exactly those.
 Totals and terms are summed strictly left to right over index arrays, in
-the order of the matched pairs and then of the unmatched indices.  One
+the order of the matched pairs and then of the unmatched indices, with one
+exception: against an empty MB the total (all of it false detections) is
+``np.sum`` of ry * c^p/alpha, which adds pairwise, so from 8 components on
+its last bit may differ from a left-to-right sum.  One
 elementwise helper, ``_pair_terms``, is the pair cost of ``pgospa``, of
 ``bernoulli_pgospa`` (1 x 1, bit for bit) and of the ``sweep-example1`` grid.
 
@@ -52,12 +55,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .assignment import (
     LEX_REFINE_MAX,
     _duals_rows_complete,
     _left_sum,
+    linear_sum_assignment,
     solve_assignment,
 )
 from .distances import BaseDistanceKind, base_distance, pairwise_base_distance

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgospa import enumerate_assignment, solve_assignment
+from pgospa import assignment, enumerate_assignment, solve_assignment
 
 
 class TestExamples:
@@ -46,6 +46,36 @@ class TestExamples:
     def test_enumeration_size_bound(self):
         with pytest.raises(ValueError, match="<= 8"):
             enumerate_assignment(np.zeros((9, 2)))
+
+
+class TestSolverBinding:
+    """The benchmark's tracer wraps ``assignment.linear_sum_assignment`` by
+    name, so every solve must look it up there."""
+
+    def test_solves_call_through_the_module_binding(self, monkeypatch):
+        C = [[5.0, 1.0, 9.0], [2.0, 8.0, 3.0]]
+        solve_assignment(C)  # the solver import must not rebind the name
+        solve = assignment.linear_sum_assignment
+        assert solve.__module__ == assignment.__name__
+        calls = []
+
+        def counted(C):
+            calls.append(C.shape)
+            return solve(C)
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
+        assert solve_assignment(C).pairs == ((0, 1), (1, 0))
+        assert calls == [(2, 3)]
+        solve_assignment([[3.0]])  # one matching: no solve
+        assert calls == [(2, 3)]
+
+    def test_one_by_one_equals_enumeration(self):
+        rng = np.random.default_rng(11)
+        costs = [*rng.uniform(-1e3, 1e3, size=50), -2.5, -1e-300, 0.0, -0.0]
+        for cost in costs:
+            got, want = solve_assignment([[cost]]), enumerate_assignment([[cost]])
+            assert got.pairs == want.pairs == ((0, 0),)
+            assert got.total_cost.hex() == want.total_cost.hex()
 
 
 class TestOracleAgreement:

@@ -553,6 +553,53 @@ def test_import_does_not_load_scipy_stats(module):
     assert done.stdout.strip() == "[]"
 
 
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+@pytest.mark.parametrize("module", ["pgospa.cli", "pgospa"])
+def test_import_loads_no_scipy(module):
+    # scipy.optimize alone took about 70 % of a cold eval process
+    code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _fresh_python("-c", code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "x, y, solves",
+    [
+        # the README pair: one matching, no solver
+        ([dirac(1.0, 0.0)], [gauss(0.7, [2.0], [[5.0]])], False),
+        (
+            [dirac(1.0, 0.0), gauss(0.5, [3.0], [[1.0]])],
+            [dirac(0.9, 0.5), dirac(0.4, 2.5), gauss(1.0, [9.0], [[2.0]])],
+            True,
+        ),
+    ],
+)
+def test_cold_eval_prints_the_in_process_output(tmp_path, capsys, x, y, solves):
+    fx = write(tmp_path / "x.json", mb_doc(*x))
+    fy = write(tmp_path / "y.json", mb_doc(*y))
+    argv = ["eval", fx, fy, "--c", "5", "--p", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    # -X importtime lists on stderr every module the process imports
+    done = _fresh_python("-X", "importtime", "-m", "pgospa.cli", *argv)
+    assert done.stdout == out
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    heavy = {m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])}
+    assert ("scipy.optimize" in heavy) is solves
+    if not solves:
+        assert heavy == set()
+
+
 _junk = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)

@@ -266,6 +266,20 @@ class TestNearTieCertificate:
         res = pgospa(dirac_mb(0.0), dirac_mb(100.0, 200.0), params, detect_near_ties=True)
         assert res.near_tie is True and outcomes == [False, False]
 
+    def test_near_tie_solves_call_through_the_module_binding(self, monkeypatch, outcomes):
+        # the benchmark's tracer wraps metric.linear_sum_assignment by name
+        calls = []
+        solve = metric.linear_sum_assignment
+
+        def counted(C):
+            calls.append(C.shape)
+            return solve(C)
+
+        monkeypatch.setattr(metric, "linear_sum_assignment", counted)
+        res = pgospa(dirac_mb(0.0, 4.0), dirac_mb(2.0), P1, detect_near_ties=True)
+        assert res.near_tie is True and outcomes == [False]
+        assert calls == [(1, 2)]  # one re-solve per matched pair
+
     def test_bound_holds_on_small_matrices(self):
         # integer costs with ties and column offsets (negative duals); the
         # best matching that reports other pairs is found by enumeration

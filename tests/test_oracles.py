@@ -235,3 +235,19 @@ class TestQospa:
     def test_invalid_existence(self):
         with pytest.raises(ValueError):
             qospa_base([0.0], [0.0], -0.1, 0.5, P1)
+
+
+def test_package_names_resolve():
+    # the oracle names resolve on first use (PEP 562), importing
+    # pgospa.oracles and with it scipy.optimize
+    import pgospa
+    from pgospa import oracles
+
+    star = {}
+    exec("from pgospa import *", star)
+    for name in pgospa.__all__:
+        assert star[name] is getattr(pgospa, name), name
+    assert pgospa.brute_force_pgospa is oracles.brute_force_pgospa
+    assert set(pgospa.__all__) <= set(dir(pgospa))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pgospa.no_such_name
