@@ -3,15 +3,24 @@
 ``solve_assignment`` matches every index of the smaller side of an m x n
 cost matrix one-to-one into the larger side at globally minimal total
 cost.  The optimum is found with scipy's shortest-augmenting-path solver,
-which is imported on the first solve: ``scipy.optimize`` costs a cold
-process about 0.45 s, and a 1 x 1 matrix, which has one matching, needs
-no solver.  A complementary-slackness refinement then selects the
-lexicographically smallest optimal pair list in one walk over the graph
-of tight edges, so results are reproducible when several matchings tie.
-The refinement runs for matrices up to ``LEX_REFINE_MAX`` on a side;
-beyond that the solver's (deterministic) matching is returned directly,
-since exact ties are a measure-zero event for real-valued costs at that
-scale.
+which is imported on the first solve (``scipy.optimize`` costs a cold
+process about 0.45 s).  A complementary-slackness refinement then
+selects the lexicographically smallest optimal pair list in one walk over
+the graph of tight edges, so results are reproducible when several
+matchings tie.  The refinement runs for matrices up to
+``LEX_REFINE_MAX`` on a side; beyond that the solver's (deterministic)
+matching is returned directly, since exact ties are a measure-zero event
+for real-valued costs at that scale.
+
+A single-dip matrix, m <= n <= ``LEX_REFINE_MAX``, needs neither: every
+row is flat apart from at most one entry clearly below the rest, and no
+two rows dip in one column.  The alpha = 2 costs of ``metric`` have this
+form whenever no component has more than one partner within the cut-off
+c, since a pair at or beyond c costs what leaving both unmatched costs.
+Its smallest optimal pair list is known in closed form (``_single_dip``),
+and 1 x 1 matrices are among them.  The closed form stops at 64 per side
+because above that the pairs scipy picks for the flat rows are the ones
+reported, and they fix the last bits of the total.
 
 ``enumerate_assignment`` is an independent brute-force oracle over all
 injections, limited to max(m, n) <= 8, applying the same tie-break rule.
@@ -81,19 +90,47 @@ def solve_assignment(costs) -> Assignment:
     """Globally optimal matching of all min(m, n) rows/cols.
 
     Ties between optimal matchings are broken toward the lexicographically
-    smallest pair list (guaranteed for max(m, n) <= LEX_REFINE_MAX).
+    smallest pair list (guaranteed for max(m, n) <= LEX_REFINE_MAX).  A
+    single-dip matrix with m <= n <= LEX_REFINE_MAX (see ``_single_dip``)
+    takes that pair list in closed form, without a solver; every other
+    matrix is solved by scipy and refined.
     """
     C = _check_matrix(costs)
     m, n = C.shape
     if min(m, n) == 0:
         return Assignment((), 0.0)
-    if m == n == 1:
-        return Assignment(((0, 0),), _pairs_total(C, ((0, 0),)))
-    rid, cid = linear_sum_assignment(C)
-    pairs = sorted(zip(rid.tolist(), cid.tolist()))
-    if max(m, n) <= LEX_REFINE_MAX:
-        pairs = _lex_refine(C, pairs)
+    pairs = _single_dip(C) if m <= n <= LEX_REFINE_MAX else None
+    if pairs is None:
+        rid, cid = linear_sum_assignment(C)
+        pairs = sorted(zip(rid.tolist(), cid.tolist()))
+        if max(m, n) <= LEX_REFINE_MAX:
+            pairs = _lex_refine(C, pairs)
     return Assignment(tuple(pairs), _pairs_total(C, pairs))
+
+
+def _single_dip(C: np.ndarray):
+    """The lexicographically smallest optimal pair list of a single-dip
+    matrix (m <= n), or None for any other matrix.
+
+    In a single-dip matrix every row is flat (within tol / (4 (m + n)) of
+    its maximum, tol as in ``_lex_refine``) apart from at most one entry
+    more than 1e3 (m + n) tol below it, and no two such dips share a
+    column.  Every optimum takes all dips, and the other rows tie wherever
+    they go, so the smallest pair list gives them the remaining columns in
+    increasing order: the pairs ``_lex_refine`` picks from any optimum."""
+    m, n = C.shape
+    tol = _TIE_REL_TOL * max(1.0, float(np.abs(C).max()))
+    gap = C.max(axis=1)[:, None] - C
+    low = gap > 1e3 * (m + n) * tol
+    if not (low | (gap <= tol / (4 * (m + n)))).all():
+        return None
+    if low.sum(axis=1).max() > 1 or low.sum(axis=0).max() > 1:
+        return None
+    rows, dip_cols = np.nonzero(low)
+    cols = np.empty(m, dtype=np.intp)
+    cols[rows] = dip_cols
+    cols[~low.any(axis=1)] = np.flatnonzero(~low.any(axis=0))[: m - len(rows)]
+    return list(zip(range(m), cols.tolist()))
 
 
 def enumerate_assignment(costs) -> Assignment:

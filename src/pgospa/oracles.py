@@ -294,37 +294,58 @@ def _discretize_gaussian(g: GaussianDensity, resolution: int) -> GridDensity:
 LP_FEAS_TOL = 1e-9
 
 
-def _transport_lp(dist: np.ndarray, cpow: float, cpa: float, p: float,
-                  supply: np.ndarray, demand: np.ndarray, slack_mass: float) -> float:
+def _band_arcs(dist: np.ndarray, cpow: float, p: float) -> tuple:
+    """Source -> sink arcs at cost dist^p for every pair within c; the pairs
+    beyond c are left to the hub."""
+    ns = dist.shape[0]
+    bi, bj = np.nonzero(dist < cpow ** (1.0 / p))
+    return bi, ns + bj, dist[bi, bj] ** p
+
+
+def _line_arcs(xs: np.ndarray, xt: np.ndarray) -> tuple:
+    """Arcs both ways between consecutive points of the merged 1-D sources
+    ``xs`` and sinks ``xt``, at cost their gap: shortest paths over them
+    cost |x - y|, so for p = 1 they give the optimum of ``_band_arcs`` with
+    O(n) arcs instead of O(n^2)."""
+    x = np.concatenate([xs, xt])
+    order = np.argsort(x, kind="stable")
+    gaps = np.diff(x[order])
+    a, b = order[:-1], order[1:]
+    return np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([gaps, gaps])
+
+
+def _transport_lp(arcs: tuple, cpow: float, cpa: float, supply: np.ndarray,
+                  demand: np.ndarray, slack_mass: float) -> float:
     """Exact LP value of the transport instance with costs
     min(dist, c)^p to real sinks and cpa to the empty sink.
 
-    Arcs whose cost saturates at c^p are interchangeable, so they are
-    routed through a single hub node (source -> hub at c^p, hub -> sink at
-    zero); this preserves the optimum exactly and shrinks the LP by the
-    saturated fraction.
+    Nodes 0..ns-1 are the sources and ns..ns+nt-1 the sinks; ``arcs`` is
+    ``(tail, head, cost)`` over those nodes, from ``_band_arcs`` or, for
+    1-D grids at p = 1, ``_line_arcs``.  Arcs whose cost saturates at c^p
+    are interchangeable, so they are routed through a single hub node
+    (source -> hub at c^p, hub -> sink at zero); this preserves the
+    optimum exactly and shrinks the LP by the saturated fraction.
     """
-    ns, nt = dist.shape
-    cbase = cpow ** (1.0 / p)
-    band = dist < cbase
-    bi, bj = np.nonzero(band)
-    nb = len(bi)
+    ns, nt = len(supply), len(demand)
+    tail, head, arc_cost = arcs
+    nb = len(tail)
     use_empty = slack_mass > 0.0
     nvar = nb + ns + nt + (ns if use_empty else 0)
     cost = np.empty(nvar)
-    cost[:nb] = dist[bi, bj] ** p
+    cost[:nb] = arc_cost
     cost[nb : nb + ns] = cpow
     cost[nb + ns : nb + ns + nt] = 0.0
     if use_empty:
         cost[nb + ns + nt :] = cpa
+    # node balance rows 0..ns+nt-1: outflow minus inflow equals the supply
+    # at a source, inflow minus outflow the demand at a sink
+    sign = np.where(np.arange(ns + nt) < ns, 1.0, -1.0)
     rows, cols, vals = [], [], []
-    # source balance rows 0..ns-1
-    rows.append(bi); cols.append(np.arange(nb)); vals.append(np.ones(nb))
+    rows.append(tail); cols.append(np.arange(nb)); vals.append(sign[tail])
+    rows.append(head); cols.append(np.arange(nb)); vals.append(-sign[head])
     rows.append(np.arange(ns)); cols.append(nb + np.arange(ns)); vals.append(np.ones(ns))
     if use_empty:
         rows.append(np.arange(ns)); cols.append(nb + ns + nt + np.arange(ns)); vals.append(np.ones(ns))
-    # sink balance rows ns..ns+nt-1
-    rows.append(ns + bj); cols.append(np.arange(nb)); vals.append(np.ones(nb))
     rows.append(ns + np.arange(nt)); cols.append(nb + ns + np.arange(nt)); vals.append(np.ones(nt))
     # hub balance row
     rows.append(np.full(ns, ns + nt)); cols.append(nb + np.arange(ns)); vals.append(np.ones(ns))
@@ -393,9 +414,12 @@ def bernoulli_ot_grid(
 
     supply = src.r * gs.weights
     demand = snk.r * gt.weights
-    diff = gs.support[:, None, :] - gt.support[None, :, :]
-    dist = np.sqrt((diff * diff).sum(-1))
-    value_p = _transport_lp(dist, c**p, cpa, p, supply, demand, src.r - snk.r)
+    if gs.support.shape[1] == 1 and p == 1.0:
+        arcs = _line_arcs(gs.support[:, 0], gt.support[:, 0])
+    else:
+        diff = gs.support[:, None, :] - gt.support[None, :, :]
+        arcs = _band_arcs(np.sqrt((diff * diff).sum(-1)), c**p, p)
+    value_p = _transport_lp(arcs, c**p, cpa, supply, demand, src.r - snk.r)
 
     max_cost = max(c**p, cpa)
     eps_move = p * c ** (p - 1.0) * (gs.cell_halfdiag + gt.cell_halfdiag)

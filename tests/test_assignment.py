@@ -1,11 +1,15 @@
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgospa import assignment, enumerate_assignment, solve_assignment
+from pgospa import assignment, cli, enumerate_assignment, metric, solve_assignment
+from pgospa.metric import _pair_terms
 
 
 class TestExamples:
@@ -76,6 +80,145 @@ class TestSolverBinding:
             got, want = solve_assignment([[cost]]), enumerate_assignment([[cost]])
             assert got.pairs == want.pairs == ((0, 0),)
             assert got.total_cost.hex() == want.total_cost.hex()
+
+    def test_single_dip_takes_no_solver(self, monkeypatch):
+        calls = []
+        solve = assignment.linear_sum_assignment
+        monkeypatch.setattr(
+            assignment, "linear_sum_assignment", lambda C: calls.append(C.shape) or solve(C)
+        )
+        C = _pair_matrix(np.random.default_rng(12), 20, 22, 2.0, 10.0, band=20)
+        assert assignment._single_dip(C) is not None
+        got = solve_assignment(C)
+        assert calls == []
+        assert got.pairs == _refined(C)
+
+
+def _refined(C):
+    """The pair list of scipy's optimum, refined by the tie walk up to
+    ``LEX_REFINE_MAX`` per side: what ``solve_assignment`` reports when it
+    has no closed form."""
+    rid, cid = assignment.linear_sum_assignment(C)
+    pairs = sorted(zip(rid.tolist(), cid.tolist()))
+    if max(C.shape) <= assignment.LEX_REFINE_MAX:
+        pairs = assignment._lex_refine(C, pairs)
+    return tuple(pairs)
+
+
+def _pair_matrix(rng, m, n, p, c, band):
+    """alpha = 2 assignment costs of ``metric``: ``_pair_terms`` minus the
+    column's unmatched cost ry c^p/2, with base distances saturated at c
+    apart from up to ``band`` entries drawn within c, each in a row and a
+    column of its own."""
+    cpa = c**p / 2.0
+    rx = rng.uniform(0.05, 1.0, size=m)
+    ry = rng.uniform(0.05, 1.0, size=n)
+    D = np.full((m, n), c)
+    k = min(band, m, n)
+    D[rng.permutation(m)[:k], rng.permutation(n)[:k]] = rng.uniform(0.0, c, size=k)
+    loc, mis = _pair_terms(rx[:, None], ry[None, :], D, p, cpa)
+    return loc + mis - (ry * cpa)[None, :]
+
+
+def _planted(rng, m, n):
+    """Rows constant up to a few ulps, about half with one dip well below,
+    the dips in distinct columns."""
+    scale = float(10.0 ** rng.uniform(-3, 6))
+    C = np.repeat(rng.uniform(-1.0, 1.0, size=(m, 1)) * scale, n, axis=1)
+    C += rng.integers(-3, 4, size=(m, n)) * np.spacing(np.abs(C))
+    cols = rng.permutation(max(m, n))
+    for i in range(m):
+        if cols[i] < n and rng.random() < 0.5:
+            C[i, cols[i]] -= scale * rng.uniform(0.01, 2.0)
+    return C
+
+
+class TestSingleDip:
+    """The closed form for single-dip matrices gives the pairs and the
+    total of the solve and the tie walk it replaces."""
+
+    @staticmethod
+    def _check(C):
+        got = solve_assignment(C)
+        want = _refined(C)
+        assert got.pairs == want
+        assert got.total_cost.hex() == assignment._pairs_total(C, want).hex()
+        if max(C.shape) <= 8:
+            assert got == enumerate_assignment(C)
+        return assignment._single_dip(C) is not None
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [1.0, 10.0, 1e3])
+    def test_pair_term_matrices(self, p, c):
+        rng = np.random.default_rng([int(p), int(c)])
+        closed = 0
+        for _ in range(150):
+            m, n = sorted(int(x) for x in rng.integers(1, 9 if rng.random() < 0.7 else 65, 2))
+            closed += self._check(_pair_matrix(rng, m, n, p, c, int(rng.integers(0, m + 1))))
+        assert closed > 100  # the common case takes the closed form
+
+    def test_planted_matrices(self):
+        rng = np.random.default_rng(404)
+        closed = 0
+        for _ in range(400):
+            m, n = sorted(int(x) for x in rng.integers(1, 9 if rng.random() < 0.7 else 65, 2))
+            closed += self._check(_planted(rng, m, n))
+        assert closed == 400
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-13, 1e-9])
+    def test_near_dips_fall_back(self, rel):
+        # a second dip within rel of the first, in the same row or the same
+        # column, and a dip between the flat and the dip margin
+        rng = np.random.default_rng(505)
+        for _ in range(60):
+            m = int(rng.integers(2, 9 if rng.random() < 0.7 else 65))
+            n = int(rng.integers(max(m, 3), 65))
+            C = np.repeat(rng.uniform(-1.0, 1.0, size=(m, 1)), n, axis=1)
+            C[0, 0] -= 0.5
+            row, col = C.copy(), C.copy()
+            row[0, 1] = C[0, 0] * (1.0 + rel)
+            col[1, 0] = C[1, 1] - 0.5 * (1.0 + rel)
+            shallow = C.copy()
+            shallow[-1, -1] -= max(rel, 1e-13)
+            for D in (row, col, shallow):
+                assert assignment._single_dip(D) is None
+                self._check(D)
+
+    def test_other_shapes_take_the_solver(self, monkeypatch):
+        # m > n and sides above 64 never try the closed form
+        tried, solved = [], []
+        single_dip, solve = assignment._single_dip, assignment.linear_sum_assignment
+        monkeypatch.setattr(
+            assignment, "_single_dip", lambda C: tried.append(C.shape) or single_dip(C)
+        )
+        monkeypatch.setattr(
+            assignment, "linear_sum_assignment", lambda C: solved.append(C.shape) or solve(C)
+        )
+        rng = np.random.default_rng(606)
+        shapes = [(3, 2), (9, 5), (65, 64), (2, 65), (65, 65), (70, 90)]
+        for m, n in shapes:
+            C = _planted(rng, min(m, n), max(m, n))
+            solve_assignment(C.T if m > n else C)
+        assert tried == [] and solved == shapes
+
+    @pytest.mark.parametrize("workload", ["mc-tracking", "eval-ties"])
+    def test_benchmark_scenes_equal_the_dense_path(self, workload, tmp_path, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        seen = []
+
+        def checked(C):
+            seen.append(self._check(C))
+            return solve_assignment(C)
+
+        monkeypatch.setattr(metric, "solve_assignment", checked)
+        for request in workloads.generate(workload, 3, tmp_path / "inputs").requests:
+            assert cli.main(request.argv) == 0
+        capsys.readouterr()
+        assert len(seen) > 200 and 0 < sum(seen) < len(seen)
 
 
 class TestOracleAgreement:

@@ -600,6 +600,24 @@ def test_cold_eval_prints_the_in_process_output(tmp_path, capsys, x, y, solves):
         assert heavy == set()
 
 
+def test_cold_single_dip_eval_loads_no_solver(tmp_path, capsys):
+    # each component has at most one partner within c: the assignment is
+    # solved in closed form and the dual bound decides the near-tie flag
+    fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0), gauss(0.5, [30.0], [[1.0]])))
+    fy = write(
+        tmp_path / "y.json",
+        mb_doc(dirac(0.9, 0.5), dirac(0.4, 12.5), gauss(1.0, [60.0], [[2.0]])),
+    )
+    argv = ["eval", fx, fy, "--c", "5", "--p", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["matched_pairs"] == [[0, 0]]
+    done = _fresh_python("-X", "importtime", "-m", "pgospa.cli", *argv)
+    assert done.stdout == out
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert not {m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])}
+
+
 _junk = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3)

@@ -16,7 +16,13 @@ from pgospa import (
     brute_force_pgospa,
     qospa_base,
 )
-from pgospa.oracles import TransportPlan, _discretize_gaussian
+from pgospa.oracles import (
+    TransportPlan,
+    _band_arcs,
+    _discretize_gaussian,
+    _line_arcs,
+    _transport_lp,
+)
 
 from conftest import make_mb, make_params
 
@@ -191,6 +197,25 @@ class TestGridTransport:
                 rx * ga.weights, ry * gb.weights, rx - ry,
             )
             assert res.value_p == pytest.approx(want, abs=1e-7)
+
+    def test_line_arcs_match_band_arcs_at_p1(self, rng):
+        # 1-D at p = 1: shortest paths over the line graph cost |x - y|, so
+        # its LP has the optimum of the band LP with O(n) arcs
+        for _ in range(6):
+            rx = float(rng.uniform(0.3, 1.0))
+            ry = float(rng.uniform(0.1, rx))
+            ga, gb = (
+                _discretize_gaussian(GaussianDensity(rng.uniform(-3, 3, 1), [[float(rng.uniform(0.2, 4.0))]]), 60)
+                for _ in range(2)
+            )
+            c, alpha = float(rng.uniform(0.5, 10.0)), float(rng.uniform(0.05, 2.0))
+            xs, xt = ga.support[:, 0], gb.support[:, 0]
+            args = (c, c / alpha, rx * ga.weights, ry * gb.weights, rx - ry)
+            line = _transport_lp(_line_arcs(xs, xt), *args)
+            band = _transport_lp(_band_arcs(np.abs(xs[:, None] - xt[None, :]), c, 1.0), *args)
+            exact = _dense_transport_lp(np.abs(xs[:, None] - xt[None, :]), c, 1.0, *args[1:])
+            assert line == pytest.approx(exact, abs=1e-7)
+            assert band == pytest.approx(exact, abs=1e-7)
 
     def test_eps_grid_shrinks_with_resolution(self):
         params = MetricParams(c=5.0, p=2.0, alpha=2.0)
