@@ -9,8 +9,11 @@ selects the lexicographically smallest optimal pair list in one walk over
 the graph of tight edges, so results are reproducible when several
 matchings tie.  The refinement runs for matrices up to
 ``LEX_REFINE_MAX`` on a side; beyond that the solver's (deterministic)
-matching is returned directly, since exact ties are a measure-zero event
-for real-valued costs at that scale.
+matching is returned directly.  Exact ties are not rare above that size:
+for alpha = 2 a row with no pair within the cut-off costs the same in
+every column, so all such saturated rows tie exactly at any size.  That
+is why ``eval`` reports ``near_tie: null`` above it, and why the closed
+form below stops there too.
 
 A single-dip matrix, m <= n <= ``LEX_REFINE_MAX``, needs neither: every
 row is flat apart from at most one entry clearly below the rest, and no

@@ -32,7 +32,7 @@ from dataclasses import astuple
 from . import montecarlo
 from .distances import BaseDistanceKind, pairwise_base_distance
 # mbm_pgospa is not called here; perfbench/tracing.py wraps it by this name
-from .metric import _oriented, _pair_terms, _score, gospa, mbm_pgospa, pgospa  # noqa: F401
+from .metric import _pair_terms, gospa, mbm_pgospa, pgospa  # noqa: F401
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
@@ -193,20 +193,13 @@ def _load_scenario(path):
 
 def cmd_sweep_example2(args) -> int:
     """P-GOSPA and its decomposition versus the cut-off c, over
-    c = 0.1, 0.2, ..., 10.0 (alpha = 2): one unclipped distance matrix,
-    scored by ``_score`` clipped at each c, which the gate's contract makes
-    bit-identical to one ``pgospa`` call per c."""
+    c = 0.1, 0.2, ..., 10.0 (alpha = 2): one ``pgospa`` call per c."""
     fx, fy = _load_scenario(args.scenario)
     base = BaseDistanceKind(args.base)
-    D = None
     with _open_out(args.out) as fh:
         fh.write("c,total,localization,existence_mismatch,missed,false\n")
         for c in EXAMPLE2_C_SWEEP:
-            params = MetricParams(c=c, p=args.p, alpha=2.0)
-            if D is None:  # after the first parameter check, as in pgospa
-                a, b, swapped = _oriented(fx, fy)
-                D = pairwise_base_distance(a, b, base)
-            res = _score(a.r, b.r, np.minimum(D, c), params, base, swapped=swapped)
+            res = pgospa(fx, fy, MetricParams(c=c, p=args.p, alpha=2.0), base)
             fh.write(
                 f"{c:.12g},{res.total:.12g},{res.localization:.12g},"
                 f"{res.existence_mismatch:.12g},{res.missed:.12g},{res.false_det:.12g}\n"
@@ -269,9 +262,10 @@ def cmd_oracle_pgospa(args) -> int:
     return 0
 
 
-def _single_component(path, allow0=False, dirac_for=None) -> BernoulliComponent:
-    """The one component of an MB file, a Dirac if ``dirac_for`` names a command."""
-    mb = mb_from_dict(load_document(path), allow0)
+def _single_component(path, dirac_for=None) -> BernoulliComponent:
+    """The one component of an MB file, r = 0 admitted, a Dirac if
+    ``dirac_for`` names a command."""
+    mb = mb_from_dict(load_document(path), True)
     if len(mb) != 1:
         raise SchemaError(f"{path}: expected exactly one Bernoulli component")
     if dirac_for and not mb.dirac[0]:
@@ -282,8 +276,8 @@ def _single_component(path, allow0=False, dirac_for=None) -> BernoulliComponent:
 def cmd_oracle_ot_dirac(args) -> int:
     from .oracles import bernoulli_ot_dirac
 
-    bx = _single_component(args.file_x, True, "ot-dirac")
-    by = _single_component(args.file_y, True, "ot-dirac")
+    bx = _single_component(args.file_x, "ot-dirac")
+    by = _single_component(args.file_y, "ot-dirac")
     value = bernoulli_ot_dirac(
         bx.r, bx.density.location, by.r, by.density.location, _params(args)
     )
@@ -294,8 +288,8 @@ def cmd_oracle_ot_dirac(args) -> int:
 def cmd_oracle_ot_grid(args) -> int:
     from .oracles import bernoulli_ot_grid
 
-    bx = _single_component(args.file_x, True)
-    by = _single_component(args.file_y, True)
+    bx = _single_component(args.file_x)
+    by = _single_component(args.file_y)
     res = bernoulli_ot_grid(bx, by, _params(args), resolution=args.resolution)
     _print_json(
         {
@@ -311,8 +305,8 @@ def cmd_oracle_ot_grid(args) -> int:
 def cmd_oracle_qospa(args) -> int:
     from .oracles import qospa_base
 
-    bx = _single_component(args.file_x, True, "qospa")
-    by = _single_component(args.file_y, True, "qospa")
+    bx = _single_component(args.file_x, "qospa")
+    by = _single_component(args.file_y, "qospa")
     value = qospa_base(
         bx.density.location, by.density.location, bx.r, by.r, _params(args)
     )

@@ -94,19 +94,18 @@ class BaseDistanceKind(str, Enum):
             raise ValueError(f"unknown base distance {name!r} (expected one of {valid})")
 
 
-def _root(dm2, diff, tt=None) -> np.ndarray:
+def _root(dm2, diff, tt) -> np.ndarray:
     """``sqrt(max(dm2 + tt, 0))``, ``dm2 = ||diff||^2`` over the last axis.
     Where ``dm2`` overflowed but ``diff`` is finite it is taken in scaled
     form, ``s sqrt(||diff / s||^2 + tt / s^2)`` with ``s = max |diff|``."""
-    out = np.sqrt(dm2 if tt is None else np.maximum(dm2 + tt, 0.0))
+    out = np.sqrt(np.maximum(dm2 + tt, 0.0))
     big = np.isinf(dm2)
     if big.any():
         big = big & np.isfinite(diff).all(-1)
         out = np.array(out)
         s = np.abs(diff[big]).max(-1)
         scaled = ((diff[big] / s[:, None]) ** 2).sum(-1)
-        if tt is not None:
-            scaled = np.maximum(scaled + np.broadcast_to(tt, dm2.shape)[big] / s / s, 0.0)
+        scaled = np.maximum(scaled + np.broadcast_to(tt, dm2.shape)[big] / s / s, 0.0)
         with np.errstate(over="ignore"):
             out[big] = s * np.sqrt(scaled)
     return out
@@ -164,9 +163,7 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
             sy = np.zeros_like(Py)
             sy[live_y] = _psd_sqrt(Py[live_y])
             both = Px.any((-2, -1)) & live_y
-            if both.all():  # no zero covariance, so no gathered copies
-                tt = tt - 2.0 * _bures_cross(Px, sy)
-            elif both.any():
+            if both.any():
                 stack = both.shape + Px.shape[-2:]
                 tt = np.array(tt)
                 tt[both] -= 2.0 * _bures_cross(
@@ -231,16 +228,12 @@ def _stacked(sides, rows) -> list:
     padded stack is all-true exactly where it is over the real rows."""
     if len(sides) == 1:
         return [sides[0].means[None], sides[0].covs[None], sides[0].dirac[None]]
-    R = max(rows)
-    valid = None if min(rows) == R else np.arange(R) < np.array(rows)[:, None]
+    valid = np.arange(max(rows)) < np.array(rows)[:, None]
     stacks = []
     for field, pad in (("means", np.nan), ("covs", 0.0), ("dirac", True)):
         flat = np.concatenate([getattr(mb, field) for mb in sides])
-        if valid is None:  # blocks of one size: no padding
-            stacks.append(flat.reshape((len(rows), R) + flat.shape[1:]))
-        else:
-            stacks.append(np.full((len(rows), R) + flat.shape[1:], pad, flat.dtype))
-            stacks[-1][valid] = flat
+        stacks.append(np.full(valid.shape + flat.shape[1:], pad, flat.dtype))
+        stacks[-1][valid] = flat
     return stacks
 
 
@@ -287,9 +280,10 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
         raise DimensionMismatchError(f"densities mix state dimensions {sorted(dims)}")
     m, n = [sizes[k][0] for k in live], [sizes[k][1] for k in live]
     (mx, Px, dx), (my, Py, dy) = _stacked(xs, m), _stacked(ys, n)
-    all_dirac = dx.all() and dy.all()
+    # without a cut-off every real pair is computed, and clipping is a no-op
+    cut = np.inf if c is None else float(c)
 
-    if kind is BaseDistanceKind.EUCLIDEAN and not all_dirac:
+    if kind is BaseDistanceKind.EUCLIDEAN and not (dx.all() and dy.all()):
         raise ValueError("euclidean base distance requires Dirac densities")
     if kind is BaseDistanceKind.HELLINGER:
         if any(mb.dirac.any() for mb in xs + ys):
@@ -305,25 +299,22 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
                 x.means[:, None, :], x.covs[:, None], y.means[None, :, :], y.covs[None]
             )
     else:  # W2, and Euclidean: W2 between zero covariances
-        # without a cut-off, the gate at c = inf passes every real pair
-        cut = np.inf if c is None else float(c)
         b, i, j = _nonzero(_gate(mx, Px, my, Py, cut))
         D = np.full((len(m), max(m), max(n)), cut)
         D[b, i, j] = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
 
-    if not all_dirac:  # bit-for-bit equal operands give exactly 0
-        bx, by = mx.view(np.int64), my.view(np.int64)
-        # candidates: an equal first coordinate; padded pairs are dropped below
-        b, i, j = _nonzero(bx[:, :, None, 0] == by[:, None, :, 0])
-        if len(b):
-            same = (
-                (bx[b, i] == by[b, j]).all(1)
-                & (dx[b, i] == dy[b, j])
-                & (Px[b, i].view(np.int64) == Py[b, j].view(np.int64)).all((1, 2))
-            )
-            D[b[same], i[same], j[same]] = 0.0
-    if c is not None:
-        np.minimum(D, c, out=D)
+    # bit-for-bit equal operands give exactly 0
+    bx, by = mx.view(np.int64), my.view(np.int64)
+    # candidates: an equal first coordinate; padded pairs are dropped below
+    b, i, j = _nonzero(bx[:, :, None, 0] == by[:, None, :, 0])
+    if len(b):
+        same = (
+            (bx[b, i] == by[b, j]).all(1)
+            & (dx[b, i] == dy[b, j])
+            & (Px[b, i].view(np.int64) == Py[b, j].view(np.int64)).all((1, 2))
+        )
+        D[b[same], i[same], j[same]] = 0.0
+    np.minimum(D, cut, out=D)
     for k, at in enumerate(live):
         out[at] = D[k, : m[k], : n[k]]
     return out

@@ -29,8 +29,8 @@ clipped base-distance matrix of two MB densities it builds the costs,
 solves the assignment, decides the near-tie flag and sums the total and
 the decomposition.  ``pgospa`` is the dimension check, the orientation
 (``_oriented``: the smaller side first), ``pairwise_base_distance`` and
-``_score``; the Monte Carlo run pass and ``sweep-example2`` call
-``_score`` on distance matrices of their own.  ``gospa`` evaluates point sets:
+``_score``; the Monte Carlo run pass calls ``_score`` on distance matrices
+of its own.  ``gospa`` evaluates point sets:
 its result is by definition the metric above on the lifted MB densities
 (all existence probabilities one, Dirac densities at the points) with the
 Euclidean base distance, and it calls ``pgospa`` on exactly those.
@@ -235,7 +235,7 @@ def _score(
     params: MetricParams,
     base: BaseDistanceKind,
     *,
-    swapped: bool = False,
+    swapped: bool,
     detect_near_ties: bool = False,
 ) -> PGospaResult:
     """The metric of existence vectors ``rx`` (m) and ``ry`` (n), m <= n,

@@ -276,8 +276,6 @@ def _checked_fields(r, means, covs, dirac) -> tuple:
         raise SchemaError("means or covariances contain non-finite entries")
     if n and not (r.min() >= 0.0 and r.max() <= 1.0):  # NaN fails too
         raise SchemaError("existence probability out of range [0, 1]")
-    if not dirac.any():
-        return r, means, _psd_normal_form(covs) if n else covs, dirac
     if covs[dirac].any():
         raise SchemaError("a dirac component has a non-zero covariance")
     if not dirac.all():

@@ -260,8 +260,15 @@ def generate_runs(
     ``mixture`` emits two-entry MB mixtures as estimates.  With
     ``point_extract`` set, estimates are instead unit-existence Dirac MBs
     holding the means of components whose existence probability exceeds
-    the threshold (taken from the highest-weight mixture entry).
+    the threshold (taken from the highest-weight mixture entry).  Runs,
+    steps and dim must be at least 1 and objects at least 0; otherwise a
+    ``ValueError`` names the ``synth-runs`` flag and nothing is written.
     """
+    sizes = (("runs", n_runs, 1), ("timesteps", n_steps, 1), ("objects", n_objects, 0),
+             ("dim", dim, 1))
+    for flag, value, least in sizes:
+        if value < least:
+            raise ValueError(f"--{flag} must be at least {least}, got {value}")
     out_dir = Path(out_dir)
     truth_dir = out_dir / "truth"
     truth_dir.mkdir(parents=True, exist_ok=True)

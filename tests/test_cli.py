@@ -427,6 +427,50 @@ class TestParseErrorsExit2:
         assert run(capsys, "eval", fx, fy)[0] == 2
 
 
+_ONE_DIRAC = mb_doc(dirac(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "argv, docs, message",
+    [
+        (["eval", "{0}", "{1}"], [{"components": 5}, _ONE_DIRAC], "'components' must be a list"),
+        (["eval", "{0}", "{1}"], [{"mixture": 5}, _ONE_DIRAC], "'mixture' must be a list"),
+        (
+            ["eval", "{0}", "{1}"],
+            [{"mixture": [{"weight": 1.0}]}, _ONE_DIRAC],
+            "mixture entry 0 requires 'weight' and 'mb'",
+        ),
+        (
+            ["eval", "{0}", "{1}"],
+            [{"points": 5}, {"points": [[0.0]]}],
+            "'points' must be a list of vectors",
+        ),
+        (
+            ["eval", "{0}", "{1}"],
+            [{"points": [[[1.0]]]}, {"points": [[0.0]]}],
+            "'points' must be a list of equal-length vectors",
+        ),
+        (
+            ["sweep-example2", "--scenario", "{0}", "--out", "-"],
+            [{"mb_x": _ONE_DIRAC}],
+            "scenario requires 'mb_x' and 'mb_y' MB documents",
+        ),
+        (["oracle", "assign", "{0}"], [{}], "expected an object with a 'costs' matrix"),
+        (
+            ["oracle", "ot-dirac", "{0}", "{1}"],
+            [mb_doc(gauss(1.0, [0.0], [[1.0]])), _ONE_DIRAC],
+            "ot-dirac requires Dirac single-object densities",
+        ),
+    ],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, argv, docs, message):
+    paths = [write(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    code, out, err = run(capsys, *(arg.format(*paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_huge_cutoff_near_tie_check_exits_0(tmp_path, capsys):
     # The near-tie re-solve's forbidden entry overflows to inf here.
     fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0)))

@@ -192,6 +192,40 @@ def test_points_schema():
         points_from_dict({"nope": []})
 
 
+def test_loaders_equal_the_readers_of_the_parsed_file(tmp_path):
+    dirac = {"r": 0.0, "density": {"type": "dirac", "location": [1.0]}}
+    mb = mb_doc([gauss(0.7, [2.0], [[1.0]]), dirac])
+    mix = {"mixture": [{"weight": 0.25, "mb": mb}, {"weight": 0.75, "mb": mb_doc([])}]}
+    paths = {}
+    for name, doc in (("mb", mb), ("mbm", mix), ("points", {"points": [[0.0, 1.0], [2.0, 3.0]]})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    assert mb_to_dict(model.load_mb(paths["mb"], True)) == mb_to_dict(mb_from_dict(mb, True))
+    loaded = model.load_mbm(paths["mbm"], True)
+    assert model.mbm_to_dict(loaded) == model.mbm_to_dict(mbm_from_dict(mix, True))
+    for load, path in ((model.load_mb, paths["mb"]), (model.load_mbm, paths["mbm"])):
+        with pytest.raises(SchemaError, match="existence probability out of range"):
+            load(path)  # r = 0 only when allowed
+    points = model.load_points(paths["points"])
+    assert points.tobytes() == points_from_dict({"points": [[0.0, 1.0], [2.0, 3.0]]}).tobytes()
+
+
+def test_dim_of_densities_components_and_mixtures():
+    dirac = DiracDensity([1.0, 2.0])
+    assert dirac.dim == 2
+    assert BernoulliComponent(0.5, dirac).dim == 2
+    assert BernoulliComponent(0.5, GaussianDensity([0.0, 0.0, 0.0], np.eye(3))).dim == 3
+    empty, one = MBDensity(), MBDensity([BernoulliComponent(0.5, dirac)])
+    assert MBMixture([(0.5, empty), (0.5, one)]).dim == 2
+    assert MBMixture([(1.0, empty)]).dim is None
+
+
+def test_mixture_document_requires_a_mixture_list():
+    with pytest.raises(SchemaError) as info:
+        mbm_from_dict({})
+    assert str(info.value) == "MB mixture requires a 'mixture' list"
+
+
 def test_densities_are_read_only():
     mb = mb_from_dict(mb_doc([gauss(0.7, [2.0], [[1.0]])]))
     with pytest.raises(ValueError):

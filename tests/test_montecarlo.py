@@ -1,6 +1,7 @@
 import importlib.util
 import io
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -323,3 +324,40 @@ def test_tracer_installs_and_removes_every_binding():
         tracer.uninstall()
     for module, attr, fn in bound:
         assert getattr(module, attr) is fn, attr
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--dim", "0", 1), ("--dim", "-1", 1), ("--objects", "-2", 0), ("--timesteps", "0", 1),
+     ("--runs", "0", 1)],
+)
+def test_synth_runs_rejects_sizes_before_writing(tmp_path, capsys, flag, value, least):
+    out = tmp_path / "rd"
+    assert main(["synth-runs", str(out), flag, value]) == 3
+    assert capsys.readouterr().err.strip() == f"error: {flag} must be at least {least}, got {value}"
+    assert not out.exists()
+
+
+def no_truth(root):
+    shutil.rmtree(root / "truth")
+    return f"run directory must contain truth/ and runs/: {root}"
+
+
+def empty_truth(root):
+    for path in (root / "truth").iterdir():
+        path.unlink()
+    return f"no time-step files found in {root / 'truth'}"
+
+
+def no_runs(root):
+    for run_dir in (root / "runs").iterdir():
+        shutil.rmtree(run_dir)
+    return f"no run subdirectories found in {root / 'runs'}"
+
+
+@pytest.mark.parametrize("layout", [no_truth, empty_truth, no_runs])
+def test_run_directory_layout_faults_exit_3(tmp_path, capsys, layout):
+    root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=2, n_objects=2, seed=1)
+    message = layout(root)
+    assert main(["montecarlo", str(root), "--out", str(tmp_path / "o.csv")]) == 3
+    assert capsys.readouterr().err.strip() == f"error: {message}"
