@@ -193,17 +193,20 @@ def _load_scenario(path):
 
 def cmd_sweep_example2(args) -> int:
     """P-GOSPA and its decomposition versus the cut-off c, over
-    c = 0.1, 0.2, ..., 10.0 (alpha = 2): one ``pgospa`` call per c."""
+    c = 0.1, 0.2, ..., 10.0 (alpha = 2): one ``pgospa`` call per c.  Every
+    row is computed before ``--out`` is opened, so a fault writes nothing."""
     fx, fy = _load_scenario(args.scenario)
     base = BaseDistanceKind(args.base)
+    rows = []
+    for c in EXAMPLE2_C_SWEEP:
+        res = pgospa(fx, fy, MetricParams(c=c, p=args.p, alpha=2.0), base)
+        rows.append(
+            f"{c:.12g},{res.total:.12g},{res.localization:.12g},"
+            f"{res.existence_mismatch:.12g},{res.missed:.12g},{res.false_det:.12g}\n"
+        )
     with _open_out(args.out) as fh:
         fh.write("c,total,localization,existence_mismatch,missed,false\n")
-        for c in EXAMPLE2_C_SWEEP:
-            res = pgospa(fx, fy, MetricParams(c=c, p=args.p, alpha=2.0), base)
-            fh.write(
-                f"{c:.12g},{res.total:.12g},{res.localization:.12g},"
-                f"{res.existence_mismatch:.12g},{res.missed:.12g},{res.false_det:.12g}\n"
-            )
+        fh.writelines(rows)
     return 0
 
 

@@ -12,9 +12,10 @@ Three metrics are provided, selected by :class:`BaseDistanceKind`:
 * ``euclidean``: Euclidean distance, valid only between Dirac densities.
 
 ``pairwise_blocks`` computes the distance matrices of several pairs of
-``MBDensity`` values at once, their operands held as padded stacks;
-``pairwise_base_distance``, on two ``MBDensity`` values (or two sequences
-of densities), is its one-block case.  The scalar entry points are the
+``MBDensity`` values at once, as one padded stack, their operands held as
+padded stacks too; ``pairwise_base_distance``, on two ``MBDensity``
+values (or two sequences of densities), is its one-block case.  The
+scalar entry points are the
 1 x 1 entry of the latter with the operands in a canonical order, so
 ``d(a, b)`` and ``d(b, a)`` are bit-identical.  Exactly equal operands
 give exactly 0.0: the pairs whose first mean coordinates have equal bits
@@ -261,27 +262,33 @@ def _gate(mx, Px, my, Py, c) -> np.ndarray:
         return (dm2 < bound) | (np.isinf(dm2) & np.isinf(bound))
 
 
-def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None) -> list:
+def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None) -> tuple:
     """Distance matrices of the pairs ``(x, y)`` of ``MBDensity`` values in
-    ``blocks``: entry ``b`` is ``pairwise_base_distance(*blocks[b], kind,
-    c=c)``, bit for bit, and a block with an empty side has no entries to
-    compute.  The blocks' operands are held as padded (B, rows, ...)
-    stacks, and the W2 pairs of all blocks that pass the gate (every pair
-    without ``c``) go through one ``w2_stack`` call."""
+    ``blocks`` as one padded (B, M, N) stack, with the (B, 2) array of
+    block sizes ``(m_b, n_b)``: ``D[b, :m_b, :n_b]`` is
+    ``pairwise_base_distance(*blocks[b], kind, c=c)``, bit for bit, M and N
+    are the largest sizes, and the padding holds no distance.  A block with
+    an empty side has no entries to compute.  The blocks' operands are held
+    as padded (B, rows, ...) stacks, and the W2 pairs of all blocks that
+    pass the gate (every pair without ``c``) go through one ``w2_stack``
+    call."""
     kind = BaseDistanceKind(kind)
     sizes = [(len(x.r), len(y.r)) for x, y in blocks]
-    out = [None if m and n else np.zeros((m, n)) for m, n in sizes]
-    live = [k for k, D in enumerate(out) if D is None]
+    # without a cut-off every real pair is computed, and clipping is a no-op
+    cut = np.inf if c is None else float(c)
+    D = np.full((len(blocks), max(m for m, _ in sizes), max(n for _, n in sizes)), cut)
+    live = [k for k, (m, n) in enumerate(sizes) if m and n]
+    sizes = np.array(sizes, dtype=np.intp)
     if not live:
-        return out
+        return D, sizes
     xs, ys = [blocks[k][0] for k in live], [blocks[k][1] for k in live]
     dims = {mb.means.shape[1] for mb in xs + ys}
     if len(dims) > 1:
         raise DimensionMismatchError(f"densities mix state dimensions {sorted(dims)}")
-    m, n = [sizes[k][0] for k in live], [sizes[k][1] for k in live]
+    m, n = [len(x.r) for x in xs], [len(y.r) for y in ys]
     (mx, Px, dx), (my, Py, dy) = _stacked(xs, m), _stacked(ys, n)
-    # without a cut-off every real pair is computed, and clipping is a no-op
-    cut = np.inf if c is None else float(c)
+    # the stack's index of each live block
+    live = np.array(live)
 
     if kind is BaseDistanceKind.EUCLIDEAN and not (dx.all() and dy.all()):
         raise ValueError("euclidean base distance requires Dirac densities")
@@ -293,19 +300,17 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
             raise ValueError(
                 "Hellinger distance requires strictly positive-definite covariances"
             )
-        D = np.zeros((len(m), max(m), max(n)))
-        for k, (x, y) in enumerate(zip(xs, ys)):
-            D[k, : m[k], : n[k]] = _hellinger_stack(
+        for k, x, y in zip(live, xs, ys):
+            D[k, : len(x.r), : len(y.r)] = _hellinger_stack(
                 x.means[:, None, :], x.covs[:, None], y.means[None, :, :], y.covs[None]
             )
     else:  # W2, and Euclidean: W2 between zero covariances
         b, i, j = _nonzero(_gate(mx, Px, my, Py, cut))
-        D = np.full((len(m), max(m), max(n)), cut)
-        D[b, i, j] = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
+        D[live[b], i, j] = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
 
     # bit-for-bit equal operands give exactly 0
     bx, by = mx.view(np.int64), my.view(np.int64)
-    # candidates: an equal first coordinate; padded pairs are dropped below
+    # candidates: an equal first coordinate; padded pairs only touch padding
     b, i, j = _nonzero(bx[:, :, None, 0] == by[:, None, :, 0])
     if len(b):
         same = (
@@ -313,11 +318,9 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
             & (dx[b, i] == dy[b, j])
             & (Px[b, i].view(np.int64) == Py[b, j].view(np.int64)).all((1, 2))
         )
-        D[b[same], i[same], j[same]] = 0.0
+        D[live[b[same]], i[same], j[same]] = 0.0
     np.minimum(D, cut, out=D)
-    for k, at in enumerate(live):
-        out[at] = D[k, : m[k], : n[k]]
-    return out
+    return D, sizes
 
 
 def pairwise_base_distance(
@@ -333,7 +336,7 @@ def pairwise_base_distance(
     Euclidean pairs whose mean gap alone proves saturation are then not
     computed.
     """
-    return pairwise_blocks([(_as_mb(xs), _as_mb(ys))], kind, c=c)[0]
+    return pairwise_blocks([(_as_mb(xs), _as_mb(ys))], kind, c=c)[0][0]
 
 
 def base_distance(px, py, kind: BaseDistanceKind = BaseDistanceKind.W2) -> float:

@@ -24,21 +24,26 @@ pair whose cut-off distance saturates (d_ij >= c) contributes exactly the
 same cost as leaving both components unmatched, and is reported as
 unmatched.
 
-``_score`` is the one scoring core: from the existence vectors and the
-clipped base-distance matrix of two MB densities it builds the costs,
-solves the assignment, decides the near-tie flag and sums the total and
-the decomposition.  ``pgospa`` is the dimension check, the orientation
-(``_oriented``: the smaller side first), ``pairwise_base_distance`` and
-``_score``; the Monte Carlo run pass calls ``_score`` on distance matrices
-of its own.  ``gospa`` evaluates point sets:
+``_score_blocks`` is the one scoring core: from the existence vectors of
+B pairs of MB densities and the padded (B, M, N) stack of their clipped
+base-distance matrices it builds the costs in one broadcast, solves each
+block's assignment, and sums each block's total and decomposition.
+``_score`` is its one-block case, which carries no padding, and adds the
+reported pairs and the near-tie flag.  ``pgospa`` is the dimension check,
+the orientation (``_oriented``: the smaller side first),
+``pairwise_base_distance`` and ``_score``; the Monte Carlo run pass calls
+``_score_blocks`` once on the distance stack of a whole run.  ``gospa``
+evaluates point sets:
 its result is by definition the metric above on the lifted MB densities
 (all existence probabilities one, Dirac densities at the points) with the
 Euclidean base distance, and it calls ``pgospa`` on exactly those.
-Totals and terms are summed strictly left to right over index arrays, in
-the order of the matched pairs and then of the unmatched indices, with one
-exception: against an empty MB the total (all of it false detections) is
-``np.sum`` of ry * c^p/alpha, which adds pairwise, so from 8 components on
-its last bit may differ from a left-to-right sum.  One
+Totals and terms are summed strictly left to right, in the order of the
+matched pairs and then of the unmatched indices; padding, and entries
+outside a sum, enter it as +0.0, which moves no bit of a sum of
+non-negative terms.  There is one exception: against an empty MB the
+total (all of it false detections) is ``np.sum`` of ry * c^p/alpha, which
+adds pairwise, so from 8 components on its last bit may differ from a
+left-to-right sum.  Each root is taken with Python's float power.  One
 elementwise helper, ``_pair_terms``, is the pair cost of ``pgospa``, of
 ``bernoulli_pgospa`` (1 x 1, bit for bit) and of the ``sweep-example1`` grid.
 
@@ -53,6 +58,7 @@ assignment once per matched pair with that pair forbidden.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,6 +234,113 @@ def _oriented(fx: MBDensity, fy: MBDensity) -> tuple:
     return (fy, fx, True) if swapped else (fx, fy, False)
 
 
+def _padded(vectors, lengths, width) -> np.ndarray:
+    """The 1-D arrays ``vectors`` as the rows of a (B, width) array, padded
+    with +0.0; one vector is its own (1, width) view."""
+    if len(vectors) == 1:
+        return vectors[0][None]
+    out = np.zeros((len(vectors), width))
+    out[np.arange(width) < lengths[:, None]] = np.concatenate(vectors)
+    return out
+
+
+class _Scores(NamedTuple):
+    """What ``_score_blocks`` finds for B blocks: per block the metric value
+    (a Python float), its p-th power and the solver's pairs; for alpha = 2
+    the (4, B) terms in p-th-power units (localization, existence mismatch,
+    missed, false) and which matched rows are reported (d < c), else None;
+    the matched column of each row; and the pair costs and reduced costs of
+    the stack."""
+
+    total: list
+    total_p: np.ndarray
+    pairs: list
+    terms: np.ndarray | None
+    shown: np.ndarray | None
+    cols: np.ndarray
+    pair_cost: np.ndarray
+    reduced: np.ndarray
+
+
+def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
+    """The metric of B blocks at once.  Block k scores the existence vectors
+    ``rx[k]`` (m_k) and ``ry[k]`` (n_k), m_k <= n_k, with base distances
+    ``D[k, :m_k, :n_k]`` clipped at c, where ``D`` is a padded (B, M, N)
+    stack and ``sizes`` its (B, 2) block sizes, as from ``pairwise_blocks``.
+    Missed and false detections are those of this orientation: a caller
+    with the operands in the other order swaps them.
+
+    The pair terms and reduced costs are built in one broadcast over the
+    stack, each block's reduced costs are solved by ``solve_assignment``,
+    and the matched terms are gathered with one index.  The total and the
+    terms are summed left to right along each block's rows or columns, the
+    padding masked to +0.0, so each equals the sum over its own block.  A
+    block with an empty side sums its total, all of it false detections,
+    with ``np.sum``.  One block carries no padding and no mask."""
+    B, M, N = D.shape
+    m, n = sizes[:, 0], sizes[:, 1]
+    p, c, alpha = params.p, params.c, params.alpha
+    cpa = c**p / alpha
+    rx, ry = _padded(rx, m, M), _padded(ry, n, N)
+    ry_cpa = ry * cpa
+    loc_term, mis_term = _pair_terms(rx[:, :, None], ry[:, None, :], D, p, cpa)
+    pair_cost = loc_term + mis_term
+    reduced = pair_cost - ry_cpa[:, None, :]
+    cols = np.zeros((B, M), dtype=np.intp)
+    pairs, empty = [], []
+    for k, (mk, nk) in enumerate(sizes.tolist()):
+        if mk:
+            pairs.append(solve_assignment(reduced[k, :mk, :nk]).pairs)
+            cols[k, :mk] = [j for _, j in pairs[k]]
+        else:
+            pairs.append(())
+            empty.append(k)
+    # every row is matched, in row order: row i of block k to column
+    # cols[k, i], the entry at flat index at[k, i] of the stack and at
+    # slot[k, i] of a (B, N) array
+    step = max(N, 1)
+    at = np.arange(0, B * M * step, step).reshape(B, M) + cols
+    if B == 1:  # no padding: every row and column is real
+        rows, slot, free = True, cols, np.ones((1, N), bool)
+        free.put(slot, False)
+    else:
+        rows, free = np.arange(M) < m[:, None], np.arange(N) < n[:, None]
+        slot = np.arange(0, B * step, step)[:, None] + cols
+        free.put(slot[rows], False)
+
+    # Each sum runs strictly left to right along the last axis of its
+    # slice of ``sums``: entries outside it, and padding, enter as +0.0,
+    # which moves no bit of a sum of non-negative terms but the sign of a
+    # zero, and ``+ 0.0`` undoes that, as in ``_left_sum``.
+    decompose = alpha == 2.0
+    shown = None
+    sums = np.zeros((6 if decompose else 2, B, max(M, N, 1)))
+    np.copyto(sums[0, :, :M], pair_cost.take(at), where=rows)
+    np.copyto(sums[1, :, :N], ry_cpa, where=free)
+    if decompose:
+        shown = D.take(at) < c
+        hidden = ~shown
+        if B > 1:
+            shown &= rows
+            hidden &= rows
+        np.copyto(sums[2, :, :M], loc_term.take(at), where=shown)
+        np.copyto(sums[3, :, :M], mis_term.take(at), where=shown)
+        np.copyto(sums[4, :, :M], rx * cpa, where=hidden)
+        # columns outside gamma: the free ones and those of hidden pairs
+        free.put(slot[hidden], True)
+        np.copyto(sums[5, :, :N], ry_cpa, where=free)
+    with np.errstate(over="ignore"):  # an overflow is inf, as with floats
+        sums = np.add.accumulate(sums, axis=2)[:, :, -1] + 0.0
+    total_p = sums[0] + sums[1]
+    terms = sums[2:] if decompose else None
+    for k in empty:
+        total_p[k] = ry_cpa[k, : n[k]].sum()
+        if decompose:
+            terms[3, k] = total_p[k]
+    total = [t ** (1.0 / p) for t in total_p.tolist()]
+    return _Scores(total, total_p, pairs, terms, shown, cols, pair_cost, reduced)
+
+
 def _score(
     rx,
     ry,
@@ -239,68 +352,47 @@ def _score(
     detect_near_ties: bool = False,
 ) -> PGospaResult:
     """The metric of existence vectors ``rx`` (m) and ``ry`` (n), m <= n,
-    with base distances ``D`` (m, n) clipped at c: cost build, assignment,
-    near-tie flag, decomposition and left-to-right sums.  ``swapped`` turns
-    the pairs and terms back to operands given in the other order."""
-    nx, ny = len(rx), len(ry)
+    with base distances ``D`` (m, n) clipped at c: the one-block case of
+    ``_score_blocks``, with the reported pairs and the near-tie flag.
+    ``swapped`` turns the pairs and terms back to operands given in the
+    other order."""
+    nx, ny = D.shape
     p, c, alpha = params.p, params.c, params.alpha
-    cpa = c**p / alpha
-    with_decomposition = alpha == 2.0
+    scores = _score_blocks([rx], [ry], D[None], np.array([D.shape]), params)
+    pairs, cols = scores.pairs[0], scores.cols[0]
+    total_p = float(scores.total_p[0])
 
     near_tie = None
-    ry_cpa = ry * cpa
-    if nx == 0:  # one matching only: the empty one
-        pairs = gamma = ()
-        total_p = false = float(ry_cpa.sum())
-        loc = mism = missed = 0.0
-        if detect_near_ties:
+    if detect_near_ties and nx == 0:  # one matching only: the empty one
+        near_tie = False
+    elif detect_near_ties and max(nx, ny) <= LEX_REFINE_MAX:
+        # for alpha = 2 only the pairs with d < c are reported
+        reported = D < c if alpha == 2.0 else np.ones(D.shape, bool)
+        reduced = scores.reduced[0]
+        if _no_near_tie(reduced, cols, reported, total_p, p):
             near_tie = False
-    else:
-        loc_term, mis_term = _pair_terms(rx[:, None], ry[None, :], D, p, cpa)
-        pair_cost = loc_term + mis_term
-        reduced = pair_cost - ry_cpa[None, :]
-        pairs = solve_assignment(reduced).pairs
-        # every row is matched, in row order: pairs[i] = (i, cols[i]), the
-        # entry at flat index at[i] of an nx x ny matrix
-        cols = np.array([j for _, j in pairs], dtype=np.intp)
-        at = np.arange(0, nx * ny, ny) + cols
-        free = np.ones(ny, dtype=bool)
-        free[cols] = False
-        total_p = _left_sum(pair_cost.take(at)) + _left_sum(ry_cpa[free])
-        if with_decomposition:
-            shown = D.take(at) < c
-            hidden = ~shown
-            gamma = tuple(pair for pair, s in zip(pairs, shown.tolist()) if s)
-            loc = _left_sum(loc_term.take(at[shown]))
-            mism = _left_sum(mis_term.take(at[shown]))
-            missed = _left_sum(rx[hidden] * cpa)
-            # columns outside gamma: the free ones and those of hidden pairs
-            free[cols[hidden]] = True
-            false = _left_sum(ry_cpa[free])
-        if detect_near_ties and max(nx, ny) <= LEX_REFINE_MAX:
-            # for alpha = 2 only the pairs with d < c are reported
-            reported = D < c if with_decomposition else np.ones(D.shape, bool)
-            if _no_near_tie(reduced, cols, reported, total_p, p):
-                near_tie = False
+        else:
+            cpa = c**p / alpha
+            second = _second_best_total_p(
+                reduced, scores.pair_cost[0], ry, cpa, pairs, reported
+            )
+            if np.isfinite(second):
+                gap = second ** (1.0 / p) - total_p ** (1.0 / p)
+                near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
             else:
-                second = _second_best_total_p(
-                    reduced, pair_cost, ry, cpa, pairs, reported
-                )
-                if np.isfinite(second):
-                    gap = second ** (1.0 / p) - total_p ** (1.0 / p)
-                    near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
-                else:
-                    near_tie = False
+                near_tie = False
 
-    total = float(total_p ** (1.0 / p))
-    if not with_decomposition:
+    if scores.terms is None:
         gamma = pairs
         loc = mism = missed = false = None
+    else:
+        gamma = tuple(pair for pair, s in zip(pairs, scores.shown[0].tolist()) if s)
+        loc, mism, missed, false = scores.terms[:, 0].tolist()
     if swapped:
         gamma = tuple(sorted((j, i) for i, j in gamma))
         missed, false = false, missed
     return PGospaResult(
-        total, gamma, loc, mism, missed, false, c, p, alpha, base.value, near_tie
+        scores.total[0], gamma, loc, mism, missed, false, c, p, alpha, base.value, near_tie
     )
 
 

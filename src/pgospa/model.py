@@ -467,6 +467,7 @@ def _require_mapping(data, what: str) -> dict:
 
 
 _NUMBER_TYPES = frozenset({int, float})
+_LIST_TYPE, _FLOAT_TYPE = {list}, {float}
 _ITEM_KEYS = frozenset({"r", "density"})
 _GAUSSIAN_KEYS = frozenset({"type", "mean", "cov"})
 _DIRAC_KEYS = frozenset({"type", "location"})
@@ -475,10 +476,30 @@ _DIRAC_KEYS = frozenset({"type", "location"})
 def _number_stack(values: list, depth: int):
     """The ``depth``-deep nested lists ``values`` as one float array, or None
     unless every entry is a plain int or float: no boolean, string, null or
-    numpy scalar."""
-    if not _NUMBER_TYPES.issuperset(map(type, _leaves(values, depth))):
+    numpy scalar.  Where each of the depth - 1 outer levels holds lists of
+    one length, the levels are flattened, the entries take one type check
+    and one ``np.array`` call (with no dtype to discover when all are
+    floats), and the array is reshaped, so numpy need not discover the
+    nested shape.  Lists of several lengths give None, as ``np.array``
+    refuses them.  Any other container, or a level without entries, is
+    read by ``np.array`` over the nested values."""
+    flat, shape = values, [len(values)]
+    for _ in range(depth - 1):
+        if set(map(type, flat)) != _LIST_TYPE:
+            flat = shape = None
+            break
+        lengths = set(map(len, flat))
+        if len(lengths) > 1:
+            return None
+        shape += lengths
+        flat = list(itertools.chain.from_iterable(flat))
+    types = set(map(type, _leaves(values, depth) if shape is None else flat))
+    if not _NUMBER_TYPES.issuperset(types):
         return None
-    arr = np.array(values)
+    if shape is None:
+        arr = np.array(values)
+    else:
+        arr = np.array(flat, float if types == _FLOAT_TYPE else None).reshape(shape)
     if arr.dtype.kind not in "if":  # integers beyond 64 bits: the walk converts them
         return None
     return arr.astype(float, copy=False)

@@ -17,13 +17,15 @@ documents go through one ``model._stacked_mbs`` call, the reader behind
 ``mb_from_dict``: each is parsed and turned at once into unchecked field
 arrays, and the stacked fields of all steps are checked once.  The
 distances of all steps go through one ``pairwise_blocks`` call, each step
-in ``pgospa``'s orientation, and each step is scored by
-``metric._score``.  Truths that the reader refuses are read one document
-at a time through ``mb_from_dict``, which raises the first fault.  If
-anything in a run's pass refuses or raises (a mixture, a faulty or odd
-document, a dimension mismatch, a base-distance fault), the run is scored
-step by step through ``pgospa`` and ``mbm_pgospa`` instead, which raises
-the first fault in step order.  Both give bit-identical totals and terms.
+in ``pgospa``'s orientation, and the run's padded stack of distance
+matrices is scored by one ``metric._score_blocks`` call, which gives the
+run's row of totals and of each term.  Truths that the reader refuses are
+read one document at a time through ``mb_from_dict``, which raises the
+first fault.  If anything in a run's pass refuses or raises (a mixture, a
+faulty or odd document, a dimension mismatch, a base-distance fault), the
+run is scored step by step through ``pgospa`` and ``mbm_pgospa`` instead,
+which raises the first fault in step order.  Both give bit-identical
+totals and terms.
 
 Aggregation: at each time step the root-mean-square value is
 (mean over runs of total^p)^(1/p).  Decomposition series, which live in
@@ -46,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .distances import BaseDistanceKind, pairwise_blocks
-from .metric import _oriented, _score, mbm_pgospa, pgospa
+from .metric import _oriented, _score_blocks, mbm_pgospa, pgospa
 from .model import (
     MBDensity,
     MBMixture,
@@ -65,6 +67,7 @@ from .model import (
 __all__ = ["RunSeries", "evaluate_run_dir", "rms_series", "write_rms_csv", "generate_runs"]
 
 DECOMP_KEYS = ("localization", "existence_mismatch", "missed", "false")
+DECOMP_ATTRS = ("localization", "existence_mismatch", "missed", "false_det")
 
 
 @dataclass(frozen=True)
@@ -108,24 +111,29 @@ def _densities(paths) -> list | None:
         return None
 
 
-def _run_pass(paths, truths, params, base) -> list | None:
-    """The ``_score`` results of one run's steps from one array pass: its
-    documents through ``_densities``, the distances of all steps through
-    one ``pairwise_blocks`` call, each step in ``pgospa``'s orientation.
-    None if anything refuses or raises; the caller then scores the run
-    step by step, which reports its first fault."""
+def _run_pass(paths, truths, params, base) -> tuple | None:
+    """One run's totals and p-th-power terms (None unless alpha = 2), one
+    entry per step, from one array pass: its documents through
+    ``_densities``, the distances of all steps through one
+    ``pairwise_blocks`` call, each step in ``pgospa``'s orientation, and
+    one ``_score_blocks`` call over their stack.  None if anything refuses
+    or raises; the caller then scores the run step by step, which reports
+    its first fault."""
     estimates = _densities(paths)
     if estimates is None:
         return None
     try:
-        steps = [_oriented(est, truth) for est, truth in zip(estimates, truths)]
-        Ds = pairwise_blocks([(a, b) for a, b, _ in steps], base, c=params.c)
-        return [
-            _score(a.r, b.r, D, params, base, swapped=swapped)
-            for (a, b, swapped), D in zip(steps, Ds)
-        ]
+        xs, ys, swapped = zip(*map(_oriented, estimates, truths))
+        D, sizes = pairwise_blocks(list(zip(xs, ys)), base, c=params.c)
+        scores = _score_blocks([x.r for x in xs], [y.r for y in ys], D, sizes, params)
     except _STEP_ERRORS:
         return None
+    if scores.terms is None:
+        return scores.total, None
+    loc, mism, missed, false = scores.terms
+    # a swapped step has the estimate second: missed and false change places
+    return scores.total, (loc, mism, np.where(swapped, false, missed),
+                          np.where(swapped, missed, false))
 
 
 def _step_score(path, truth, params, base):
@@ -135,6 +143,17 @@ def _step_score(path, truth, params, base):
     if doc_kind(doc) == "mbm":
         return mbm_pgospa(mbm_from_dict(doc), truth, params, base)
     return pgospa(mb_from_dict(doc), truth, params, base)
+
+
+def _step_rows(paths, truths, params, base) -> tuple:
+    """``_run_pass``'s totals and terms, scored step by step through
+    ``_step_score``; the terms are None unless alpha = 2 and no estimate is
+    a mixture."""
+    results = [_step_score(path, truth, params, base) for path, truth in zip(paths, truths)]
+    totals = [getattr(res, "total", res) for res in results]  # a mixture gives a float
+    if params.alpha != 2.0 or any(isinstance(res, float) for res in results):
+        return totals, None
+    return totals, [[getattr(res, attr) for res in results] for attr in DECOMP_ATTRS]
 
 
 def evaluate_run_dir(
@@ -169,20 +188,15 @@ def evaluate_run_dir(
                 f"missing/misaligned run files in {rdir}: expected {list(labels)}"
             )
         paths = run_files.values()
-        scores = _run_pass(paths, truths, params, base)
-        if scores is None:
-            scores = [_step_score(*step, params, base) for step in zip(paths, truths)]
-        for ti, res in enumerate(scores):
-            if isinstance(res, float):  # a mixture's total
-                totals[ri, ti] = res
-                decomposable = False
-                continue
-            totals[ri, ti] = res.total
-            if decomposable:
-                decomp["localization"][ri, ti] = res.localization
-                decomp["existence_mismatch"][ri, ti] = res.existence_mismatch
-                decomp["missed"][ri, ti] = res.missed
-                decomp["false"][ri, ti] = res.false_det
+        rows = _run_pass(paths, truths, params, base)
+        if rows is None:
+            rows = _step_rows(paths, truths, params, base)
+        totals[ri], terms = rows
+        if terms is None:
+            decomposable = False
+        elif decomposable:
+            for key, row in zip(DECOMP_KEYS, terms):
+                decomp[key][ri] = row
     return RunSeries(
         totals=totals,
         decomposition=decomp if decomposable else None,

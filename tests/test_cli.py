@@ -250,6 +250,18 @@ class TestSweeps:
         assert row_49[2] == 0.0  # still unmatched at the tie point
         assert row_60[2] == pytest.approx(5.0, abs=1e-12)
 
+    # p < 1; Gaussians under the Euclidean base; c^p overflows at c = 5.9
+    @pytest.mark.parametrize(
+        "flags",
+        [["--p", "0.5"], ["--base", "euclidean"], ["--p", "400"]],
+        ids=["p-below-1", "euclidean-gaussians", "power-overflow"],
+    )
+    def test_example2_fault_writes_no_file(self, tmp_path, capsys, flags):
+        out_csv = tmp_path / "ex2.csv"
+        code, out, _ = run(capsys, "sweep-example2", "--out", str(out_csv), *flags)
+        assert (code, out) == (3, "")
+        assert not out_csv.exists()
+
 
 class TestMonteCarloCli:
     def test_synth_and_montecarlo_deterministic(self, tmp_path, capsys):

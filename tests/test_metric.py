@@ -447,3 +447,97 @@ def test_two_empty_mbs_field_for_field(alpha, detect):
                                False if detect else None)
     assert res == want
     assert [type(v) for v in vars(res).values()] == [type(v) for v in vars(want).values()]
+
+
+# ---------------------------------------------------------------------------
+# Stacked scoring against a plain loop over each block
+
+
+def loop_scores(rx, ry, D, p, c, alpha):
+    """Total and p-th-power terms of one block (m <= n) from
+    ``solve_assignment`` and plain Python sums, each from 0.0 left to right.
+    The entries of ``D ** p`` are numpy's, as the metric takes them, and
+    against an empty side the total is numpy's sum, as the metric
+    documents."""
+    m, n = D.shape
+    cpa = c**p / alpha
+    rx, ry, Dp = rx.tolist(), ry.tolist(), (D**p).tolist()
+    loc = [[min(rx[i], ry[j]) * Dp[i][j] for j in range(n)] for i in range(m)]
+    mis = [[abs(rx[i] - ry[j]) * cpa for j in range(n)] for i in range(m)]
+    cost = [[loc[i][j] + mis[i][j] for j in range(n)] for i in range(m)]
+    reduced = np.array([[cost[i][j] - ry[j] * cpa for j in range(n)] for i in range(m)])
+    pairs = solve_assignment(reduced.reshape(m, n)).pairs
+    matched = {j for _, j in pairs}
+    gamma = [(i, j) for i, j in pairs if D[i, j] < c]
+    in_gamma = {j for _, j in gamma}
+    hidden = [i for i, j in pairs if D[i, j] >= c]
+    pair_sum = free_sum = terms_loc = terms_mis = missed = false = 0.0
+    for i, j in pairs:
+        pair_sum += cost[i][j]
+    for j in range(n):
+        if j not in matched:
+            free_sum += ry[j] * cpa
+    total_p = pair_sum + free_sum
+    for i, j in gamma:
+        terms_loc += loc[i][j]
+        terms_mis += mis[i][j]
+    for i in hidden:
+        missed += rx[i] * cpa
+    for j in range(n):
+        if j not in in_gamma:
+            false += ry[j] * cpa
+    if m == 0:
+        total_p = false = float(np.sum(np.array(ry) * cpa))
+    return total_p ** (1.0 / p), (terms_loc, terms_mis, missed, false)
+
+
+def random_blocks(rng, c, sides):
+    """Blocks (rx, ry, D, swapped) with m <= n after orientation: random
+    existences, distances in [0, 1.5 c) clipped at c, and some rows exactly
+    flat (every entry at c, or one value across the row)."""
+    blocks = []
+    for a, b in sides:
+        m, n = min(a, b), max(a, b)
+        D = np.minimum(rng.uniform(0.0, 1.5 * c, (m, n)), c)
+        for i in np.flatnonzero(rng.random(m) < 0.2):
+            D[i] = c if rng.random() < 0.5 else rng.uniform(0.0, c)
+        blocks.append((rng.uniform(0.05, 1.0, m), rng.uniform(0.05, 1.0, n), D, a > b))
+    return blocks
+
+
+def stack(blocks, rng):
+    """The blocks' distances as one (B, M, N) stack with random padding, and
+    the (B, 2) block sizes."""
+    sizes = np.array([D.shape for _, _, D, _ in blocks], dtype=np.intp)
+    D = rng.uniform(0.0, 20.0, (len(blocks),) + tuple(sizes.max(axis=0)))
+    for k, (_, _, Dk, _) in enumerate(blocks):
+        D[k, : len(Dk), : Dk.shape[1]] = Dk
+    return D, sizes
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_stacked_scores_equal_a_loop_per_block(p, alpha):
+    rng = np.random.default_rng([int(p), int(alpha)])
+    c = 4.0
+    params = MetricParams(c=c, p=p, alpha=alpha)
+    # empty sides, m > n before orientation, and sides above 64
+    sides = [(0, 0), (0, 40), (9, 0), (1, 1), (3, 7), (7, 3), (20, 21), (66, 70), (70, 66)]
+    sides += [tuple(rng.integers(0, 71, 2)) for _ in range(9)]
+    blocks = random_blocks(rng, c, sides)
+    D, sizes = stack(blocks, rng)
+    rx, ry, _, _ = zip(*blocks)
+    scores = metric._score_blocks(list(rx), list(ry), D, sizes, params)
+    for k, (rxk, ryk, Dk, swapped) in enumerate(blocks):
+        total, terms = loop_scores(rxk, ryk, Dk, p, c, alpha)
+        one = metric._score(rxk, ryk, Dk, params, BaseDistanceKind.W2, swapped=swapped)
+        assert scores.total[k].hex() == one.total.hex() == total.hex(), k
+        if alpha != 2.0:
+            assert scores.terms is None and one.localization is None
+            continue
+        assert [float(term[k]).hex() for term in scores.terms] == [t.hex() for t in terms], k
+        loc, mism, missed, false = terms
+        if swapped:  # the operands in the other order
+            missed, false = false, missed
+        one_terms = [one.localization, one.existence_mismatch, one.missed, one.false_det]
+        assert [t.hex() for t in one_terms] == [t.hex() for t in (loc, mism, missed, false)], k

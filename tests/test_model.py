@@ -338,6 +338,12 @@ def with_cov_entry(item, value, symmetric=True):
     return with_density(item, cov=cov)
 
 
+def with_cov_row(item, row):
+    cov = [list(r) for r in item["density"]["cov"]]
+    cov[2] = row
+    return with_density(item, cov=cov)
+
+
 def identity_with(value, dim=4):
     cov = np.eye(dim).tolist()
     cov[1][1] = value
@@ -422,6 +428,18 @@ COMPONENT_FAULTS = {
         lambda c: with_mean_entry(c, 10**400), SchemaError,
         "gaussian mean is not an array of numbers",
     ),
+    "mean-object": (
+        lambda c: with_density(c, mean=dict(zip("abcd", c["density"]["mean"]))), SchemaError,
+        "gaussian mean is not an array of numbers",
+    ),
+    "mean-text": (
+        lambda c: with_density(c, mean="abcd"), SchemaError,
+        "gaussian mean is not an array of numbers",
+    ),
+    "mean-nested": (
+        lambda c: with_density(c, mean=[[v] for v in c["density"]["mean"]]), SchemaError,
+        "gaussian mean must be a non-empty 1-D real vector",
+    ),
     "mean-nan": (
         lambda c: with_mean_entry(c, float("nan")), SchemaError,
         "gaussian mean contains non-finite entries",
@@ -453,6 +471,20 @@ COMPONENT_FAULTS = {
     "cov-shape": (
         lambda c: with_density(c, cov=np.eye(3).tolist()), SchemaError,
         "covariance must be 4x4, got (3, 3)",
+    ),
+    "cov-row-object": (
+        lambda c: with_cov_row(c, dict(zip("abcd", c["density"]["cov"][2]))), SchemaError,
+        "covariance is not an array of numbers",
+    ),
+    "cov-row-text": (
+        lambda c: with_cov_row(c, "abcd"), SchemaError, "covariance is not an array of numbers",
+    ),
+    "cov-row-short": (
+        lambda c: with_cov_row(c, c["density"]["cov"][2][:3]), SchemaError,
+        "covariance is not an array of numbers",
+    ),
+    "cov-scalar": (
+        lambda c: with_density(c, cov=1.0), SchemaError, "covariance must be 4x4, got ()",
     ),
     "cov-nan": (
         lambda c: with_cov_entry(c, float("nan")), SchemaError,
@@ -631,6 +663,63 @@ def test_integers_beyond_64_bits_take_the_walk():
     comps[MID] = with_density(comps[MID], cov=identity_with(10**30))
     fast, arrays = fast_and_walk(mb_doc(comps))
     assert not fast and arrays[2][MID][1, 1] == 1e30
+
+
+def nested_number_stack(values, depth):
+    """The reading ``model._number_stack`` must equal: every entry a plain
+    int or float, then numpy's own reading of the nested values."""
+    leaves = values
+    for _ in range(depth - 1):
+        leaves = [x for row in leaves for x in row]
+    if not all(type(x) in (int, float) for x in leaves):
+        return None
+    arr = np.array(values)
+    return arr.astype(float) if arr.dtype.kind in "if" else None
+
+
+# containers a flatten by length could take for rows, levels without
+# entries, ragged levels and odd entries
+ODD_STACKS = {
+    "empty-rows": ([[], []], 2),
+    "empty-matrices": ([[], []], 3),
+    "empty-matrix-rows": ([[[], []], [[], []]], 3),
+    "empty-objects": ([{}, {}], 2),
+    "empty-texts": (["", ""], 2),
+    "empty-object-rows": ([[{}], [{}]], 3),
+    "texts": (["abcd", "efgh"], 2),
+    "objects": ([{"a": 1.0, "b": 2.0}, {"c": 1.0, "d": 2.0}], 2),
+    "object-rows": ([[{"ab": 1.0, "cd": 2.0}, [1.0, 2.0]]], 3),
+    "number-keys": ([{0: "a", 1: "b"}], 2),
+    "set": ([{1.0, 2.0}], 2),
+    "tuple-and-list": ([(1.0, 2.0), [3.0, 4.0]], 2),
+    "range": ([range(2), [3, 4]], 2),
+    "ragged": ([[1.0, 2.0], [3.0]], 2),
+    "ragged-inner": ([[[1.0, 2.0]], [[3.0]]], 3),
+    "too-deep": ([[1.0, [2.0]], [3.0, 4.0]], 2),
+    "too-shallow": ([1.0, [2.0]], 2),
+    "boolean": ([[1.0, True]], 2),
+    "uint64": ([[1, 2**63]], 2),
+    "beyond-64-bits": ([[1, 2**64]], 2),
+    "beyond-double": ([[1.5, 10**400]], 2),
+    "numpy-scalar": ([[np.float64(1.0)]], 2),
+    "integers": ([[1, 2], [3, 4]], 2),
+    "mixed-numbers": ([[[1.0, 2], [3, 4.5]]], 3),
+}
+
+
+@pytest.mark.parametrize("values, depth", list(ODD_STACKS.values()), ids=list(ODD_STACKS))
+def test_number_stack_equals_the_nested_reading(values, depth):
+    def read(fn):
+        try:
+            return fn(values, depth)
+        except (TypeError, ValueError):  # _unchecked_fields reads these as None
+            return None
+
+    got, want = read(model._number_stack), read(nested_number_stack)
+    if want is None:
+        assert got is None
+    else:
+        assert_same_arrays([got], [want])
 
 
 # ---------------------------------------------------------------------------

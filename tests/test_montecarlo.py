@@ -154,19 +154,31 @@ def no_fallback(*args):
     raise AssertionError("the run fell back to per-step scoring")
 
 
+def array_pass_case(kind, alpha, base, p=2.0, objects=5, dim=2):
+    """One input of the test below; the id names p and the size only where
+    they differ from p = 2 and 5 objects in 2-D."""
+    tags = [kind, str(alpha), base]
+    tags += [f"p{p:g}"] if p != 2.0 else []
+    tags += [f"{objects}x{dim}d"] if (objects, dim) != (5, 2) else []
+    return pytest.param(kind, alpha, base, p, objects, dim, id="-".join(tags))
+
+
 @pytest.mark.parametrize(
-    "kind, alpha, base",
-    [(kind, alpha, "w2") for kind in KINDS for alpha in (2.0, 1.0)]
-    + [("points", alpha, "euclidean") for alpha in (2.0, 1.0)],
+    "kind, alpha, base, p, objects, dim",
+    [array_pass_case(kind, alpha, "w2") for kind in KINDS for alpha in (2.0, 1.0)]
+    + [array_pass_case("points", alpha, "euclidean") for alpha in (2.0, 1.0)]
+    + [array_pass_case("mb", alpha, "w2", p=p) for p in (1.0, 3.0) for alpha in (2.0, 1.0)]
+    + [array_pass_case("mb", 2.0, "w2", objects=20, dim=4)],
 )
-def test_array_pass_equals_per_step_scoring(tmp_path, monkeypatch, kind, alpha, base):
-    root = generate_runs(tmp_path / kind, n_runs=3, n_steps=6, n_objects=5, seed=5,
-                         **KINDS[kind])
+def test_array_pass_equals_per_step_scoring(tmp_path, monkeypatch, kind, alpha, base, p,
+                                            objects, dim):
+    root = generate_runs(tmp_path / kind, n_runs=3, n_steps=6, n_objects=objects, dim=dim,
+                         seed=5, **KINDS[kind])
     # one empty estimate: a step with no rows
     (root / "runs" / "run001" / "t002.json").write_text('{"components":[]}\n')
     if kind != "mixture":  # MB runs never fall back to the step loop
         monkeypatch.setattr(montecarlo, "_step_score", no_fallback)
-    params = MetricParams(c=3.0, p=2.0, alpha=alpha)
+    params = MetricParams(c=3.0, p=p, alpha=alpha)
     series = evaluate_run_dir(root, params, BaseDistanceKind(base))
     totals, terms = per_step(root, params, BaseDistanceKind(base))
     assert series.totals.tobytes() == totals.tobytes()
