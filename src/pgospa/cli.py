@@ -32,7 +32,7 @@ from dataclasses import astuple
 from . import montecarlo
 from .distances import BaseDistanceKind, pairwise_base_distance
 # mbm_pgospa is not called here; perfbench/tracing.py wraps it by this name
-from .metric import _pair_terms, gospa, mbm_pgospa, pgospa  # noqa: F401
+from .metric import _mixture_totals, _pair_terms, mbm_pgospa, pgospa  # noqa: F401
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
@@ -112,26 +112,11 @@ def cmd_eval(args) -> int:
     params = _params(args)
     base = BaseDistanceKind(args.base)
     allow0 = args.allow_zero_r
-    if kx == "mb" and ky == "mb":
-        res = pgospa(
-            mb_from_dict(doc_x, allow0),
-            mb_from_dict(doc_y, allow0),
-            params,
-            base,
-            detect_near_ties=True,
-        )
-        _print_json(res.to_dict())
-    elif {kx, ky} == {"mb", "mbm"}:
-        if kx == "mbm":
-            mix, ref = mbm_from_dict(doc_x, allow0), mb_from_dict(doc_y, allow0)
-        else:
-            mix, ref = mbm_from_dict(doc_y, allow0), mb_from_dict(doc_x, allow0)
-        entries = [
-            {"weight": w, "total": pgospa(mb, ref, params, base).total}
-            for w, mb in mix.entries
-        ]
-        # the same weighted sum, in entry order, that mbm_pgospa returns
-        total = float(sum(e["weight"] * e["total"] for e in entries))
+    if {kx, ky} == {"mb", "mbm"}:
+        doc_mix, doc_ref = (doc_x, doc_y) if kx == "mbm" else (doc_y, doc_x)
+        mix = mbm_from_dict(doc_mix, allow0)
+        total, totals = _mixture_totals(mix, mb_from_dict(doc_ref, allow0), params, base)
+        entries = [{"weight": w, "total": t} for (w, _), t in zip(mix.entries, totals)]
         _print_json(
             {
                 "total": total,
@@ -142,13 +127,18 @@ def cmd_eval(args) -> int:
                 "mixture": {"entries": entries},
             }
         )
+        return 0
+    if kx == "mb" and ky == "mb":
+        fx, fy = mb_from_dict(doc_x, allow0), mb_from_dict(doc_y, allow0)
     elif kx == "points" and ky == "points":
-        res = gospa(points_from_dict(doc_x), points_from_dict(doc_y), params)
-        _print_json(res.to_dict())
+        # P-GOSPA on the lifted MB densities, with the Euclidean base
+        fx, fy = (_point_masses(points_from_dict(doc)) for doc in (doc_x, doc_y))
+        base = BaseDistanceKind.EUCLIDEAN
     else:
         raise DimensionMismatchError(
             f"unsupported input combination: {kx} vs {ky}"
         )
+    _print_json(pgospa(fx, fy, params, base, detect_near_ties=True).to_dict())
     return 0
 
 

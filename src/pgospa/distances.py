@@ -271,7 +271,9 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
     an empty side has no entries to compute.  The blocks' operands are held
     as padded (B, rows, ...) stacks, and the W2 pairs of all blocks that
     pass the gate (every pair without ``c``) go through one ``w2_stack``
-    call."""
+    call.  Hellinger blocks are checked and computed one at a time, in
+    block order: the first block with a Dirac or a covariance that is not
+    strictly positive-definite raises its own fault."""
     kind = BaseDistanceKind(kind)
     sizes = [(len(x.r), len(y.r)) for x, y in blocks]
     # without a cut-off every real pair is computed, and clipping is a no-op
@@ -293,14 +295,15 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
     if kind is BaseDistanceKind.EUCLIDEAN and not (dx.all() and dy.all()):
         raise ValueError("euclidean base distance requires Dirac densities")
     if kind is BaseDistanceKind.HELLINGER:
-        if any(mb.dirac.any() for mb in xs + ys):
-            raise ValueError("Hellinger distance requires Gaussian densities")
-        least = np.linalg.eigvalsh(np.concatenate([mb.covs for mb in xs + ys]))[:, 0].min()
-        if least <= HELLINGER_MIN_EIG:
-            raise ValueError(
-                "Hellinger distance requires strictly positive-definite covariances"
-            )
         for k, x, y in zip(live, xs, ys):
+            # each block checks its own operands, so the first faulty one raises
+            if x.dirac.any() or y.dirac.any():
+                raise ValueError("Hellinger distance requires Gaussian densities")
+            least = np.linalg.eigvalsh(np.concatenate([x.covs, y.covs]))[:, 0].min()
+            if least <= HELLINGER_MIN_EIG:
+                raise ValueError(
+                    "Hellinger distance requires strictly positive-definite covariances"
+                )
             D[k, : len(x.r), : len(y.r)] = _hellinger_stack(
                 x.means[:, None, :], x.covs[:, None], y.means[None, :, :], y.covs[None]
             )

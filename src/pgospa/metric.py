@@ -31,12 +31,14 @@ block's assignment, and sums each block's total and decomposition.
 ``_score`` is its one-block case, which carries no padding, and adds the
 reported pairs and the near-tie flag.  ``pgospa`` is the dimension check,
 the orientation (``_oriented``: the smaller side first),
-``pairwise_base_distance`` and ``_score``; the Monte Carlo run pass calls
-``_score_blocks`` once on the distance stack of a whole run.  ``gospa``
-evaluates point sets:
-its result is by definition the metric above on the lifted MB densities
-(all existence probabilities one, Dirac densities at the points) with the
-Euclidean base distance, and it calls ``pgospa`` on exactly those.
+``pairwise_base_distance`` and ``_score``.  ``_score_pairs`` is the same
+for a list of MB pairs, with one ``pairwise_blocks`` call and one
+``_score_blocks`` call over all of them; the Monte Carlo run pass scores
+the steps of a run with it, and ``mbm_pgospa`` and ``eval`` the entries
+of a mixture.  ``gospa`` evaluates point sets: its result is by
+definition the metric above on the lifted MB densities (all existence
+probabilities one, Dirac densities at the points) with the Euclidean
+base distance, and it calls ``pgospa`` on exactly those.
 Totals and terms are summed strictly left to right, in the order of the
 matched pairs and then of the unmatched indices; padding, and entries
 outside a sum, enter it as +0.0, which moves no bit of a sum of
@@ -69,7 +71,7 @@ from .assignment import (
     linear_sum_assignment,
     solve_assignment,
 )
-from .distances import BaseDistanceKind, base_distance, pairwise_base_distance
+from .distances import BaseDistanceKind, base_distance, pairwise_base_distance, pairwise_blocks
 from .model import (
     BernoulliComponent,
     DimensionMismatchError,
@@ -441,6 +443,30 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
     return pgospa(_point_masses(X), _point_masses(Y), params, BaseDistanceKind.EUCLIDEAN)
 
 
+def _score_pairs(pairs, params: MetricParams, base: BaseDistanceKind) -> tuple:
+    """``pgospa``'s totals, bit for bit, of the MB pairs ``(x, y)`` in
+    ``pairs``, and for alpha = 2 their (4, B) terms as in ``_Scores`` with x
+    first in every pair, else None: each pair oriented in pair order, then
+    one ``pairwise_blocks`` call and one ``_score_blocks`` call."""
+    xs, ys, swapped = zip(*(_oriented(x, y) for x, y in pairs))
+    D, sizes = pairwise_blocks(list(zip(xs, ys)), base, c=params.c)
+    scores = _score_blocks([x.r for x in xs], [y.r for y in ys], D, sizes, params)
+    terms = scores.terms
+    if terms is not None:
+        # a swapped pair has x second: missed and false change places
+        terms[2:] = np.where(swapped, terms[[3, 2]], terms[2:])
+    return scores.total, terms
+
+
+def _mixture_totals(mix: MBMixture, ref: MBDensity, params, base) -> tuple:
+    """``mbm_pgospa``'s value and the metric value of each mixture entry
+    against ``ref``, in entry order, from one ``_score_pairs`` call."""
+    if not isinstance(mix, MBMixture) or len(mix) == 0:
+        raise ValueError("mixture must contain at least one entry")
+    totals, _ = _score_pairs([(mb, ref) for _, mb in mix.entries], params, base)
+    return float(sum(w * t for (w, _), t in zip(mix.entries, totals))), totals
+
+
 def mbm_pgospa(
     mix: MBMixture,
     ref: MBDensity,
@@ -448,9 +474,5 @@ def mbm_pgospa(
     base: BaseDistanceKind = BaseDistanceKind.W2,
 ) -> float:
     """Weighted sum of the metric between each mixture component and the
-    reference MB density."""
-    if not isinstance(mix, MBMixture) or len(mix) == 0:
-        raise ValueError("mixture must contain at least one entry")
-    return float(
-        sum(w * pgospa(mb, ref, params, base).total for w, mb in mix.entries)
-    )
+    reference MB density, in entry order."""
+    return _mixture_totals(mix, ref, params, base)[0]

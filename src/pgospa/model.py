@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -420,7 +421,7 @@ class MBMixture:
 @dataclass(frozen=True)
 class MetricParams:
     """Cut-off c > 0, exponent p >= 1, cardinality penalty alpha in (0, 2],
-    with c**p / alpha finite."""
+    with c**p / alpha finite and not below the smallest normal float."""
 
     c: float = 10.0
     p: float = 2.0
@@ -437,10 +438,13 @@ class MetricParams:
             cpa = self.c**self.p / self.alpha
         except OverflowError:
             cpa = np.inf
+        values = f"(c={self.c!r}, p={self.p!r}, alpha={self.alpha!r})"
         if not np.isfinite(cpa):
-            raise ValueError(
-                f"c**p / alpha overflows (c={self.c!r}, p={self.p!r}, alpha={self.alpha!r})"
-            )
+            raise ValueError(f"c**p / alpha overflows {values}")
+        # below the normal range c**p / alpha loses its precision or rounds
+        # to 0.0, and distinct MB densities may then score 0.0
+        if cpa < sys.float_info.min:
+            raise ValueError(f"c**p / alpha underflows {values}")
 
 
 def append_zero_components(mb: MBDensity, k: int, dim: int | None = None) -> MBDensity:
@@ -692,6 +696,8 @@ def points_from_dict(data) -> np.ndarray:
     arr = _float_array(raw, "'points'")
     if arr.ndim != 2:
         raise SchemaError("'points' must be a list of equal-length vectors")
+    if not arr.shape[1]:
+        raise SchemaError("'points' vectors must have at least one coordinate")
     if not np.all(np.isfinite(arr)):
         raise SchemaError("point set contains non-finite entries")
     return arr

@@ -15,17 +15,16 @@ exactly the time-step files present under ``truth/``.
 The truths, and then each run, are scored in one array pass.  Their
 documents go through one ``model._stacked_mbs`` call, the reader behind
 ``mb_from_dict``: each is parsed and turned at once into unchecked field
-arrays, and the stacked fields of all steps are checked once.  The
-distances of all steps go through one ``pairwise_blocks`` call, each step
-in ``pgospa``'s orientation, and the run's padded stack of distance
-matrices is scored by one ``metric._score_blocks`` call, which gives the
-run's row of totals and of each term.  Truths that the reader refuses are
-read one document at a time through ``mb_from_dict``, which raises the
-first fault.  If anything in a run's pass refuses or raises (a mixture, a
-faulty or odd document, a dimension mismatch, a base-distance fault), the
-run is scored step by step through ``pgospa`` and ``mbm_pgospa`` instead,
-which raises the first fault in step order.  Both give bit-identical
-totals and terms.
+arrays, and the stacked fields of all steps are checked once.  All steps
+of a run are then scored by one ``metric._score_pairs`` call, the
+multi-pair entry that ``mbm_pgospa`` takes too: one stack of distance
+matrices, one pass of the scoring core, and the run's row of totals and
+of each term.  Truths that the reader refuses are read one document at a
+time through ``mb_from_dict``, which raises the first fault.  If anything
+in a run's pass refuses or raises (a mixture, a faulty or odd document, a
+dimension mismatch, a base-distance fault), the run is scored step by
+step through ``pgospa`` and ``mbm_pgospa`` instead, which raises the
+first fault in step order.  Both give bit-identical totals and terms.
 
 Aggregation: at each time step the root-mean-square value is
 (mean over runs of total^p)^(1/p).  Decomposition series, which live in
@@ -47,8 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distances import BaseDistanceKind, pairwise_blocks
-from .metric import _oriented, _score_blocks, mbm_pgospa, pgospa
+from .distances import BaseDistanceKind
+from .metric import _score_pairs, mbm_pgospa, pgospa
 from .model import (
     MBDensity,
     MBMixture,
@@ -114,26 +113,16 @@ def _densities(paths) -> list | None:
 def _run_pass(paths, truths, params, base) -> tuple | None:
     """One run's totals and p-th-power terms (None unless alpha = 2), one
     entry per step, from one array pass: its documents through
-    ``_densities``, the distances of all steps through one
-    ``pairwise_blocks`` call, each step in ``pgospa``'s orientation, and
-    one ``_score_blocks`` call over their stack.  None if anything refuses
-    or raises; the caller then scores the run step by step, which reports
-    its first fault."""
+    ``_densities`` and all its steps through one ``metric._score_pairs``
+    call.  None if anything refuses or raises; the caller then scores the
+    run step by step, which reports its first fault."""
     estimates = _densities(paths)
     if estimates is None:
         return None
     try:
-        xs, ys, swapped = zip(*map(_oriented, estimates, truths))
-        D, sizes = pairwise_blocks(list(zip(xs, ys)), base, c=params.c)
-        scores = _score_blocks([x.r for x in xs], [y.r for y in ys], D, sizes, params)
+        return _score_pairs(list(zip(estimates, truths)), params, base)
     except _STEP_ERRORS:
         return None
-    if scores.terms is None:
-        return scores.total, None
-    loc, mism, missed, false = scores.terms
-    # a swapped step has the estimate second: missed and false change places
-    return scores.total, (loc, mism, np.where(swapped, false, missed),
-                          np.where(swapped, missed, false))
 
 
 def _step_score(path, truth, params, base):

@@ -13,16 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgospa import cli
+from pgospa import cli, metric
 from pgospa.cli import main
 from pgospa.distances import pairwise_base_distance
-from pgospa.metric import pgospa
+from pgospa.metric import mbm_pgospa, pgospa
 from pgospa.model import (
     BernoulliComponent,
     DiracDensity,
     GaussianDensity,
     MBDensity,
+    MetricParams,
     canonical_json,
+    mb_from_dict,
+    mbm_from_dict,
 )
 
 
@@ -138,6 +141,28 @@ class TestEval:
         code, out, _ = run(capsys, "eval", fx, fy, "--c", "5", "--p", "1")
         assert code == 0
         assert json.loads(out)["total"] == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, y, flags",
+        [
+            ([[0.0]], [[2.0]], []),
+            ([[0.0, 0.0], [4.0, 0.0]], [[2.0, 0.0], [9.0, 9.0], [2.0, 3.0]], ["--c", "5"]),
+            ([[0.0], [2.0], [50.0]], [[1.0]], ["--alpha", "1", "--p", "1"]),
+            ([], [[1.0, 2.0], [3.0, 4.0]], []),
+            ([], [], []),
+        ],
+        ids=["1x1", "2x3-tie", "3x1", "empty-x", "both-empty"],
+    )
+    def test_point_sets_print_the_lifted_mb_output(self, tmp_path, capsys, x, y, flags):
+        # near_tie too: null is reserved for sizes above the near-tie limit
+        fx = write(tmp_path / "x.json", {"points": x})
+        fy = write(tmp_path / "y.json", {"points": y})
+        mx = write(tmp_path / "mx.json", mb_doc(*(dirac(1.0, *v) for v in x)))
+        my = write(tmp_path / "my.json", mb_doc(*(dirac(1.0, *v) for v in y)))
+        code, out, _ = run(capsys, "eval", fx, fy, *flags)
+        assert code == 0
+        assert (0, out) == run(capsys, "eval", mx, my, "--base", "euclidean", *flags)[:2]
+        assert json.loads(out)["near_tie"] is not None
 
     def test_points_vs_mb_exits_3(self, tmp_path, capsys):
         fx = write(tmp_path / "x.json", {"points": [[0.0]]})
@@ -473,6 +498,11 @@ _ONE_DIRAC = mb_doc(dirac(1.0, 0.0))
             [mb_doc(gauss(1.0, [0.0], [[1.0]])), _ONE_DIRAC],
             "ot-dirac requires Dirac single-object densities",
         ),
+        (
+            ["eval", "{0}", "{1}"],
+            [{"points": [[]]}, {"points": [[0.0]]}],
+            "'points' vectors must have at least one coordinate",
+        ),
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, capsys, argv, docs, message):
@@ -481,6 +511,83 @@ def test_malformed_documents_exit_2(tmp_path, capsys, argv, docs, message):
     assert code == 2
     assert out == ""
     assert err.strip() == f"error: {message}"
+
+
+_PD = gauss(0.8, [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+_SINGULAR = gauss(0.6, [1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]])
+_TWO_DIRACS = [mb_doc(dirac(1.0, 0.0)), mb_doc(dirac(1.0, 1.0))]
+
+
+def _mixture(*mbs):
+    return {"mixture": [{"weight": 1.0 / len(mbs), "mb": mb} for mb in mbs]}
+
+
+@pytest.mark.parametrize(
+    "flags, docs, message",
+    [
+        (["--c", "1e-200", "--p", "2"], _TWO_DIRACS,
+         "c**p / alpha underflows (c=1e-200, p=2.0, alpha=2.0)"),
+        (["--c", "5e-324", "--p", "1"], _TWO_DIRACS,
+         "c**p / alpha underflows (c=5e-324, p=1.0, alpha=2.0)"),
+        # the first faulty mixture entry reports its own fault
+        (
+            ["--base", "hellinger"],
+            [mb_doc(_PD), _mixture(mb_doc(_SINGULAR), mb_doc(dirac(0.5, 0.0, 0.0)))],
+            "Hellinger distance requires strictly positive-definite covariances",
+        ),
+        (
+            ["--base", "hellinger"],
+            [mb_doc(_PD), _mixture(mb_doc(dirac(0.5, 0.0, 0.0)), mb_doc(_SINGULAR))],
+            "Hellinger distance requires Gaussian densities",
+        ),
+    ],
+    ids=["underflow-to-zero", "subnormal", "hellinger-singular-first", "hellinger-dirac-first"],
+)
+def test_semantic_faults_exit_3(tmp_path, capsys, flags, docs, message):
+    paths = [write(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    code, out, err = run(capsys, "eval", *paths, *flags)
+    assert (code, out) == (3, "")
+    assert err.strip() == f"error: {message}"
+
+
+_REF = [gauss(0.9, [0.0, 0.0], [[1.0, 0.2], [0.2, 2.0]]), dirac(0.7, 3.0, 1.0),
+        gauss(0.5, [8.0, -2.0], [[0.5, 0.0], [0.0, 0.5]])]
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_mixture_entries_are_scored_as_blocks(tmp_path, capsys, monkeypatch, p, alpha):
+    ref = mb_doc(*_REF)
+    larger = mb_doc(*_REF, dirac(0.4, 1.0, 1.0), gauss(0.3, [2.0, 2.5], [[1.0, 0.0], [0.0, 1.0]]))
+    equal = mb_doc(dirac(0.8, 0.5, 0.0), gauss(0.6, [3.5, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+                   dirac(1.0, 30.0, 30.0))
+    # an empty entry, one larger than the reference (scored with the sides
+    # swapped) and one of equal size
+    mix = {"mixture": [{"weight": 0.2, "mb": mb_doc()}, {"weight": 0.5, "mb": larger},
+                       {"weight": 0.3, "mb": equal}]}
+    fmix, fref = write(tmp_path / "mix.json", mix), write(tmp_path / "ref.json", ref)
+    calls = {"blocks": 0, "pgospa": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metric, "_score_blocks", counted("blocks", metric._score_blocks))
+    monkeypatch.setattr(cli, "pgospa", counted("pgospa", cli.pgospa))
+    flags = ["--c", "5", "--p", str(p), "--alpha", str(alpha)]
+    code, out, _ = run(capsys, "eval", fmix, fref, *flags)
+    assert code == 0
+    assert calls == {"blocks": 1, "pgospa": 0}
+
+    params = MetricParams(c=5.0, p=p, alpha=alpha)
+    mixture, reference = mbm_from_dict(mix), mb_from_dict(ref)
+    want = [pgospa(mb, reference, params).total for _, mb in mixture.entries]
+    doc = json.loads(out)
+    assert [e["total"].hex() for e in doc["mixture"]["entries"]] == [t.hex() for t in want]
+    weighted = float(sum(w * t for (w, _), t in zip(mixture.entries, want)))
+    assert doc["total"].hex() == mbm_pgospa(mixture, reference, params).hex() == weighted.hex()
 
 
 def test_huge_cutoff_near_tie_check_exits_0(tmp_path, capsys):

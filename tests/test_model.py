@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +141,8 @@ def test_append_zero_components():
 
 def test_metric_params_validation():
     MetricParams(c=5.0, p=1.0, alpha=2.0)
+    MetricParams(c=sys.float_info.min, p=1.0, alpha=1.0)  # the smallest normal c**p / alpha
+    MetricParams(c=1.5e-154, p=2.0, alpha=1.0)
     with pytest.raises(ValueError):
         MetricParams(c=0.0)
     with pytest.raises(ValueError):
@@ -148,6 +151,16 @@ def test_metric_params_validation():
         MetricParams(alpha=2.5)
     with pytest.raises(ValueError):
         MetricParams(alpha=0.0)
+
+
+@pytest.mark.parametrize(
+    "c, p, alpha",
+    [(1e-200, 2.0, 2.0), (5e-324, 1.0, 2.0), (0.1, 400.0, 2.0), (sys.float_info.min, 1.0, 2.0)],
+)
+def test_metric_params_reject_an_underflowing_cutoff_power(c, p, alpha):
+    # below the normal range distinct densities would score 0.0 or a subnormal
+    with pytest.raises(ValueError, match=r"^c\*\*p / alpha underflows \(c="):
+        MetricParams(c=c, p=p, alpha=alpha)
 
 
 def test_bernoulli_component_type_checks():
