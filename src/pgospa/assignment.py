@@ -20,10 +20,15 @@ row is flat apart from at most one entry clearly below the rest, and no
 two rows dip in one column.  The alpha = 2 costs of ``metric`` have this
 form whenever no component has more than one partner within the cut-off
 c, since a pair at or beyond c costs what leaving both unmatched costs.
-Its smallest optimal pair list is known in closed form (``_single_dip``),
-and 1 x 1 matrices are among them.  The closed form stops at 64 per side
-because above that the pairs scipy picks for the flat rows are the ones
-reported, and they fix the last bits of the total.
+Its smallest optimal pair list is known in closed form, and 1 x 1
+matrices are among them.  ``_single_dip_blocks`` decides it for every
+block of a padded stack in one array pass, each block with the float
+operations of the block on its own; ``metric`` calls it on the stack of
+a multi-block call and solves only the blocks it declines.
+``_single_dip``, which ``solve_assignment`` tries first, is its one-block
+view.  The closed form stops at 64 per side because above that the pairs
+scipy picks for the flat rows are the ones reported, and they fix the
+last bits of the total.
 
 ``enumerate_assignment`` is an independent brute-force oracle over all
 injections, limited to max(m, n) <= 8, applying the same tie-break rule.
@@ -113,27 +118,53 @@ def solve_assignment(costs) -> Assignment:
 
 def _single_dip(C: np.ndarray):
     """The lexicographically smallest optimal pair list of a single-dip
-    matrix (m <= n), or None for any other matrix.
+    matrix (m <= n <= ``LEX_REFINE_MAX``), or None for any other matrix:
+    the one-block view of ``_single_dip_blocks``."""
+    decided, cols = _single_dip_blocks(C[None], np.array([C.shape]))
+    return list(zip(range(C.shape[0]), cols[0].tolist())) if decided[0] else None
+
+
+def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray) -> tuple:
+    """Which blocks ``C[k, :m_k, :n_k]`` of a padded (B, M, N) stack, with
+    ``sizes[k] = (m_k, n_k)``, are finite single-dip matrices with
+    0 < m_k <= n_k <= ``LEX_REFINE_MAX``, as a (B,) mask, and for those
+    blocks the matched column of each row of their smallest optimal pair
+    lists, ``cols[k, :m_k]`` of a (B, M) array.
 
     In a single-dip matrix every row is flat (within tol / (4 (m + n)) of
     its maximum, tol as in ``_lex_refine``) apart from at most one entry
     more than 1e3 (m + n) tol below it, and no two such dips share a
     column.  Every optimum takes all dips, and the other rows tie wherever
     they go, so the smallest pair list gives them the remaining columns in
-    increasing order: the pairs ``_lex_refine`` picks from any optimum."""
-    m, n = C.shape
-    tol = _TIE_REL_TOL * max(1.0, float(np.abs(C).max()))
-    gap = C.max(axis=1)[:, None] - C
-    low = gap > 1e3 * (m + n) * tol
-    if not (low | (gap <= tol / (4 * (m + n)))).all():
-        return None
-    if low.sum(axis=1).max() > 1 or low.sum(axis=0).max() > 1:
-        return None
-    rows, dip_cols = np.nonzero(low)
-    cols = np.empty(m, dtype=np.intp)
-    cols[rows] = dip_cols
-    cols[~low.any(axis=1)] = np.flatnonzero(~low.any(axis=0))[: m - len(rows)]
-    return list(zip(range(m), cols.tolist()))
+    increasing order: the pairs ``_lex_refine`` picks from any optimum.
+    Each block takes the float operations of a matrix on its own, over its
+    own entries only; the padding enters no test."""
+    B, M, N = C.shape
+    m, n = sizes[:, 0], sizes[:, 1]
+    real_rows = np.arange(M) < m[:, None]
+    real_cols = np.arange(N) < n[:, None]
+    real = real_rows[:, :, None] & real_cols[:, None, :]
+    mn = (m + n)[:, None, None]
+    with np.errstate(all="ignore"):  # empty and non-finite blocks are declined
+        big = np.where(real, np.abs(C), 0.0).max(axis=(1, 2), initial=0.0)
+        tol = (_TIE_REL_TOL * np.maximum(1.0, big))[:, None, None]
+        top = np.where(real_cols[:, None, :], C, -np.inf).max(axis=2, initial=-np.inf)
+        gap = top[:, :, None] - C
+        low = (gap > 1e3 * mn * tol) & real
+        tested = low | (gap <= tol / (4 * mn)) | ~real
+    decided = np.isfinite(big) & (0 < m) & (m <= n) & (n <= LEX_REFINE_MAX)
+    decided &= tested.all(axis=(1, 2))
+    if not decided.any():
+        return decided, np.zeros((B, M), dtype=np.intp)
+    per_row, per_col = low.sum(axis=2), low.sum(axis=1)
+    decided &= (per_row.max(axis=1) <= 1) & (per_col.max(axis=1) <= 1)
+    cols = low.argmax(axis=2)  # the column of each row's one dip
+    # the r-th flat row of a block takes its r-th free column
+    flat_rows = real_rows & (per_row == 0) & decided[:, None]
+    free = real_cols & (per_col == 0) & decided[:, None]
+    free &= np.cumsum(free, axis=1) <= flat_rows.sum(axis=1)[:, None]
+    cols[flat_rows] = np.nonzero(free)[1]
+    return decided, cols
 
 
 def enumerate_assignment(costs) -> Assignment:

@@ -27,7 +27,11 @@ unmatched.
 ``_score_blocks`` is the one scoring core: from the existence vectors of
 B pairs of MB densities and the padded (B, M, N) stack of their clipped
 base-distance matrices it builds the costs in one broadcast, solves each
-block's assignment, and sums each block's total and decomposition.
+block's assignment, and sums each block's total and decomposition.  With
+B > 1 one pass over the stack (``assignment._single_dip_blocks``) decides
+every single-dip block in closed form, and only the blocks it declines
+go through ``solve_assignment``; one block goes to ``solve_assignment``
+directly, which tries the same closed form first.
 ``_score`` is its one-block case, which carries no padding, and adds the
 reported pairs and the near-tie flag.  ``pgospa`` is the dimension check,
 the orientation (``_oriented``: the smaller side first),
@@ -68,6 +72,7 @@ from .assignment import (
     LEX_REFINE_MAX,
     _duals_rows_complete,
     _left_sum,
+    _single_dip_blocks,
     linear_sum_assignment,
     solve_assignment,
 )
@@ -78,6 +83,7 @@ from .model import (
     MBDensity,
     MBMixture,
     MetricParams,
+    SchemaError,
     _point_masses,
 )
 
@@ -248,15 +254,14 @@ def _padded(vectors, lengths, width) -> np.ndarray:
 
 class _Scores(NamedTuple):
     """What ``_score_blocks`` finds for B blocks: per block the metric value
-    (a Python float), its p-th power and the solver's pairs; for alpha = 2
-    the (4, B) terms in p-th-power units (localization, existence mismatch,
-    missed, false) and which matched rows are reported (d < c), else None;
-    the matched column of each row; and the pair costs and reduced costs of
-    the stack."""
+    (a Python float) and its p-th power; for alpha = 2 the (4, B) terms in
+    p-th-power units (localization, existence mismatch, missed, false) and
+    which matched rows are reported (d < c), else None; the matched column
+    of each row, the optimal pair list ``(i, cols[k, i])`` of block k; and
+    the pair costs and reduced costs of the stack."""
 
     total: list
     total_p: np.ndarray
-    pairs: list
     terms: np.ndarray | None
     shown: np.ndarray | None
     cols: np.ndarray
@@ -273,12 +278,16 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     with the operands in the other order swaps them.
 
     The pair terms and reduced costs are built in one broadcast over the
-    stack, each block's reduced costs are solved by ``solve_assignment``,
-    and the matched terms are gathered with one index.  The total and the
-    terms are summed left to right along each block's rows or columns, the
-    padding masked to +0.0, so each equals the sum over its own block.  A
-    block with an empty side sums its total, all of it false detections,
-    with ``np.sum``.  One block carries no padding and no mask."""
+    stack.  With more than one block, ``_single_dip_blocks`` decides every
+    single-dip block in one pass over the stack, and only the blocks it
+    declines are solved one at a time by ``solve_assignment``, which tests
+    them again.  One block goes straight to ``solve_assignment``, which
+    tries the same closed form first, so that it is tested once.  The
+    matched terms are gathered with one index.  The total and the terms are
+    summed left to right along each block's rows or columns, the padding
+    masked to +0.0, so each equals the sum over its own block.  A block
+    with an empty side sums its total, all of it false detections, with
+    ``np.sum``.  One block carries no padding and no mask."""
     B, M, N = D.shape
     m, n = sizes[:, 0], sizes[:, 1]
     p, c, alpha = params.p, params.c, params.alpha
@@ -288,15 +297,17 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     loc_term, mis_term = _pair_terms(rx[:, :, None], ry[:, None, :], D, p, cpa)
     pair_cost = loc_term + mis_term
     reduced = pair_cost - ry_cpa[:, None, :]
-    cols = np.zeros((B, M), dtype=np.intp)
-    pairs, empty = [], []
+    if B > 1:
+        decided, cols = _single_dip_blocks(reduced, sizes)
+        decided = decided.tolist()
+    else:
+        decided, cols = [False], np.zeros((1, M), dtype=np.intp)
+    empty = []
     for k, (mk, nk) in enumerate(sizes.tolist()):
-        if mk:
-            pairs.append(solve_assignment(reduced[k, :mk, :nk]).pairs)
-            cols[k, :mk] = [j for _, j in pairs[k]]
-        else:
-            pairs.append(())
+        if not mk:
             empty.append(k)
+        elif not decided[k]:
+            cols[k, :mk] = [j for _, j in solve_assignment(reduced[k, :mk, :nk]).pairs]
     # every row is matched, in row order: row i of block k to column
     # cols[k, i], the entry at flat index at[k, i] of the stack and at
     # slot[k, i] of a (B, N) array
@@ -340,7 +351,7 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
         if decompose:
             terms[3, k] = total_p[k]
     total = [t ** (1.0 / p) for t in total_p.tolist()]
-    return _Scores(total, total_p, pairs, terms, shown, cols, pair_cost, reduced)
+    return _Scores(total, total_p, terms, shown, cols, pair_cost, reduced)
 
 
 def _score(
@@ -361,7 +372,8 @@ def _score(
     nx, ny = D.shape
     p, c, alpha = params.p, params.c, params.alpha
     scores = _score_blocks([rx], [ry], D[None], np.array([D.shape]), params)
-    pairs, cols = scores.pairs[0], scores.cols[0]
+    cols = scores.cols[0]
+    pairs = tuple(zip(range(nx), cols.tolist()))
     total_p = float(scores.total_p[0])
 
     near_tie = None
@@ -431,11 +443,15 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
     By definition this is ``pgospa`` with the Euclidean base distance on
     the lifted MB densities (unit existence probabilities, Dirac densities
     at the points), which it calls; the existence-mismatch term is
-    identically zero.  The lift validates the points (``SchemaError``) and
-    ``pgospa`` their dimensions (``DimensionMismatchError``).
+    identically zero.  An array without rows is the empty set, and one with
+    rows but no coordinates a ``SchemaError``, as in ``eval``.  The lift
+    validates the points (``SchemaError``) and ``pgospa`` their dimensions
+    (``DimensionMismatchError``).
     """
     X = np.asarray(x_points, dtype=float)
     Y = np.asarray(y_points, dtype=float)
+    if any(P.ndim > 1 and len(P) and not P.size for P in (X, Y)):
+        raise SchemaError("'points' vectors must have at least one coordinate")
     if X.size == 0:
         X = X.reshape(0, Y.shape[1] if Y.ndim == 2 and Y.size else 0)
     if Y.size == 0:

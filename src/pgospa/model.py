@@ -8,11 +8,13 @@ Dirac mask ``dirac`` (n,); ``components``, ``densities`` and ``mb[k]`` are
 views built from them.  ``MBDensity.from_arrays`` builds one from copies of
 those arrays, checked in one pass that also puts the covariances in normal
 form in one batched call.  Clean documents, one or a whole Monte Carlo
-run of them, take one structural pass over their components, then those
-same checks once on the stack of their fields.  A per-field walk decides
-faulty and odd documents: it builds each component in document order with
-the public constructors and is the only code that reports a fault.  An MB
-mixture adds normalized weights over several MB densities.
+run of them, take one structural pass over their components, which
+flattens each document's nested fields as it is reached; each field of
+all of them is then read into one array, and those same checks run once
+on the stack.  A per-field walk decides faulty and odd documents: it
+builds each component in document order with the public constructors and
+is the only code that reports a fault.  An MB mixture adds normalized
+weights over several MB densities.
 All types are immutable after construction and safe to share across
 threads; numpy arrays are stored read-only.
 
@@ -477,46 +479,91 @@ _GAUSSIAN_KEYS = frozenset({"type", "mean", "cov"})
 _DIRAC_KEYS = frozenset({"type", "location"})
 
 
-def _number_stack(values: list, depth: int):
-    """The ``depth``-deep nested lists ``values`` as one float array, or None
-    unless every entry is a plain int or float: no boolean, string, null or
-    numpy scalar.  Where each of the depth - 1 outer levels holds lists of
-    one length, the levels are flattened, the entries take one type check
-    and one ``np.array`` call (with no dtype to discover when all are
-    floats), and the array is reshaped, so numpy need not discover the
-    nested shape.  Lists of several lengths give None, as ``np.array``
-    refuses them.  Any other container, or a level without entries, is
-    read by ``np.array`` over the nested values."""
+def _flat_entries(values: list, depth: int):
+    """The entries of the ``depth``-deep nested lists ``values`` as one flat
+    list, and their shape, or None unless each of the depth - 1 outer levels
+    holds lists only, all of one length.  A level without entries ends the
+    shape, as it ends numpy's."""
     flat, shape = values, [len(values)]
     for _ in range(depth - 1):
-        if set(map(type, flat)) != _LIST_TYPE:
-            flat = shape = None
+        if not flat:
             break
+        if set(map(type, flat)) != _LIST_TYPE:
+            return None
         lengths = set(map(len, flat))
         if len(lengths) > 1:
             return None
         shape += lengths
         flat = list(itertools.chain.from_iterable(flat))
-    types = set(map(type, _leaves(values, depth) if shape is None else flat))
+    return flat, shape
+
+
+def _number_array(flat: list, shape) -> np.ndarray | None:
+    """The entries ``flat`` as a float array of ``shape``, or None unless
+    every entry is a plain int or float: no boolean, string, null or numpy
+    scalar.  They take one type check and one ``np.array`` call, with no
+    dtype to discover when all are floats, and the array is reshaped, so
+    numpy need not discover a nested shape."""
+    types = set(map(type, flat))
     if not _NUMBER_TYPES.issuperset(types):
         return None
-    if shape is None:
-        arr = np.array(values)
-    else:
-        arr = np.array(flat, float if types == _FLOAT_TYPE else None).reshape(shape)
+    arr = np.array(flat, float if types == _FLOAT_TYPE else None).reshape(shape)
     if arr.dtype.kind not in "if":  # integers beyond 64 bits: the walk converts them
         return None
     return arr.astype(float, copy=False)
 
 
-def _unchecked_fields(raw: list, allow_zero_existence: bool):
-    """The unchecked (r, means, covs, dirac) arrays of a clean non-empty
-    components list, or None when any doubt remains.  One structural pass
-    proves that every item and density has exactly the keys of its kind,
-    and every leaf is a plain number.  Nothing here raises: a fault or an
-    odd input returns None."""
-    rs, means, covs, dirac = [], [], [], []
-    try:
+def _joined(parts: list):
+    """One float array of the rows of the ``_flat_entries`` results
+    ``parts``, in order, or None unless every part is regular, all have rows
+    of one shape, and every entry is a plain int or float."""
+    if None in parts:
+        return None
+    flats, shapes = zip(*parts)
+    rows = {tuple(shape[1:]) for shape in shapes}
+    if len(rows) > 1:
+        return None
+    flat = flats[0] if len(flats) == 1 else list(itertools.chain.from_iterable(flats))
+    return _number_array(flat, (sum(shape[0] for shape in shapes), *rows.pop()))
+
+
+def _unchecked_fields(rs, mean_parts, cov_parts, dirac, allow_zero_existence: bool):
+    """The unchecked (r, means, covs, dirac) arrays of the components whose
+    existence probabilities are ``rs`` and Dirac flags ``dirac``, with their
+    means and Gaussian covariances flattened into ``mean_parts`` and
+    ``cov_parts`` (``_flat_entries``), one array call per field, or None
+    unless every stack is regular and every leaf a plain number."""
+    if not rs:
+        return np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, bool)
+    r, means = _number_array(rs, len(rs)), _joined(mean_parts)
+    if r is None or means is None or (r.min() == 0.0 and not allow_zero_existence):
+        return None
+    n, dim = means.shape
+    gauss = _joined(cov_parts) if cov_parts else np.zeros((0, dim, dim))
+    if gauss is None or gauss.shape[1:] != (dim, dim):
+        return None
+    dirac = np.array(dirac, dtype=bool)
+    cov_stack = np.zeros((n, dim, dim))
+    cov_stack[~dirac] = gauss
+    return r, means, cov_stack, dirac
+
+
+def _stacked_mbs(raws, allow_zero_existence: bool):
+    """The MB densities of the components lists ``raws``, or None when any
+    doubt remains.  One structural pass over the lists proves that every
+    item and density has exactly the keys of its kind; each list's means
+    and covariances are flattened as it is reached (``_flat_entries``), so
+    that no list of it outlives it.  Each field of all the lists is then
+    made one array by one call, all of them are checked in one
+    ``_checked_fields`` pass, and the stack is sliced back into one density
+    per list.  A fault or an odd input in any list, anything that is not a
+    list, or lists of several state dimensions give None; nothing here
+    raises, but an error raised while iterating ``raws`` propagates."""
+    rs, dirac, sizes, mean_parts, cov_parts = [], [], [], [], []
+    for raw in raws:
+        if type(raw) is not list:
+            return None
+        means, covs = [], []
         for item in raw:
             if type(item) is not dict or item.keys() != _ITEM_KEYS:
                 return None
@@ -533,48 +580,17 @@ def _unchecked_fields(raw: list, allow_zero_existence: bool):
                 return None
             rs.append(item["r"])
             dirac.append(kind == "dirac")
-        r, means = _number_stack(rs, 1), _number_stack(means, 2)
-        if r is None or means is None or (r.min() == 0.0 and not allow_zero_existence):
-            return None
-        n, dim = means.shape
-        gauss = _number_stack(covs, 3) if covs else np.zeros((0, dim, dim))
-        if gauss is None:
-            return None
-        dirac = np.array(dirac, dtype=bool)
-        cov_stack = np.zeros((n,) + gauss.shape[1:])
-        cov_stack[~dirac] = gauss
-        return r, means, cov_stack, dirac
-    except (TypeError, ValueError):  # non-iterables, ragged stacks
-        return None
-
-
-def _stacked_mbs(raws, allow_zero_existence: bool):
-    """The MB densities of the components lists ``raws``, or None when any
-    doubt remains.  Each list is turned into unchecked arrays as it is
-    reached, all of them are checked in one ``_checked_fields`` pass over
-    their stack, and the stack is sliced back into one density per list.
-    A list with a fault or an odd input, anything that is not a list, or
-    lists of several state dimensions give None; nothing here raises, but
-    an error raised while iterating ``raws`` propagates."""
-    fields, sizes = [], []
-    for raw in raws:
-        if type(raw) is not list:
-            return None
-        if raw:
-            unchecked = _unchecked_fields(raw, allow_zero_existence)
-            if unchecked is None:
-                return None
-            fields.append(unchecked)
+        if means:
+            mean_parts.append(_flat_entries(means, 2))
+        if covs:
+            cov_parts.append(_flat_entries(covs, 3))
         sizes.append(len(raw))
     try:
-        if len(fields) == 1:
-            stack = fields[0]
-        elif fields:
-            stack = map(np.concatenate, zip(*fields))
-        else:
-            stack = np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, bool)
-        r, means, covs, dirac = _checked_fields(*stack)
-    except ValueError:  # SchemaError, DimensionMismatchError, mixed dimensions
+        fields = _unchecked_fields(rs, mean_parts, cov_parts, dirac, allow_zero_existence)
+        if fields is None:
+            return None
+        r, means, covs, dirac = _checked_fields(*fields)
+    except ValueError:  # SchemaError, DimensionMismatchError
         return None
     mbs, start = [], 0
     for n in sizes:

@@ -14,13 +14,15 @@ exactly the time-step files present under ``truth/``.
 
 The truths, and then each run, are scored in one array pass.  Their
 documents go through one ``model._stacked_mbs`` call, the reader behind
-``mb_from_dict``: each is parsed and turned at once into unchecked field
-arrays, and the stacked fields of all steps are checked once.  All steps
-of a run are then scored by one ``metric._score_pairs`` call, the
-multi-pair entry that ``mbm_pgospa`` takes too: one stack of distance
-matrices, one pass of the scoring core, and the run's row of totals and
-of each term.  Truths that the reader refuses are read one document at a
-time through ``mb_from_dict``, which raises the first fault.  If anything
+``mb_from_dict``: each is parsed, walked for structure and flattened as
+it is reached, then each field of all steps is read into one array by
+one call and checked once.  All steps of a run are then scored by one
+``metric._score_pairs`` call, the multi-pair entry that ``mbm_pgospa``
+takes too: one stack of distance matrices, one pass of the scoring core
+(which decides the single-dip steps in closed form over the stack), and
+the run's row of totals and of each term.  Truths that the reader
+refuses are read one document at a time through ``mb_from_dict``, which
+raises the first fault.  If anything
 in a run's pass refuses or raises (a mixture, a faulty or odd document, a
 dimension mismatch, a base-distance fault), the run is scored step by
 step through ``pgospa`` and ``mbm_pgospa`` instead, which raises the
@@ -97,10 +99,10 @@ _STEP_ERRORS = (ValueError, OSError, RuntimeError)
 
 def _densities(paths) -> list | None:
     """The MB densities of the documents at ``paths`` from one
-    ``_stacked_mbs`` call: each document is parsed and turned at once into
-    unchecked field arrays, then all of them are checked in one pass over
-    their stack.  None if a document is not a clean MB document or
-    anything raises."""
+    ``_stacked_mbs`` call: each document is parsed, walked for structure
+    and flattened as it is reached, then each field of all of them is read
+    and checked in one pass over their stack.  None if a document is not a clean MB
+    document or anything raises."""
     docs = map(load_document, paths)
     try:
         return _stacked_mbs(

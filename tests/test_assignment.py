@@ -120,6 +120,20 @@ def _pair_matrix(rng, m, n, p, c, band):
     return loc + mis - (ry * cpa)[None, :]
 
 
+def _near_dips(rng, m, n, rel):
+    """Three matrices, m >= 2 and n >= 3, that are single-dip but for one
+    entry: a second dip within ``rel`` of the first in the same row, one in
+    the same column, and a dip between the flat and the dip margin."""
+    C = np.repeat(rng.uniform(-1.0, 1.0, size=(m, 1)), n, axis=1)
+    C[0, 0] -= 0.5
+    row, col = C.copy(), C.copy()
+    row[0, 1] = C[0, 0] * (1.0 + rel)
+    col[1, 0] = C[1, 1] - 0.5 * (1.0 + rel)
+    shallow = C.copy()
+    shallow[-1, -1] -= max(rel, 1e-13)
+    return row, col, shallow
+
+
 def _planted(rng, m, n):
     """Rows constant up to a few ulps, about half with one dip well below,
     the dips in distinct columns."""
@@ -173,14 +187,7 @@ class TestSingleDip:
         for _ in range(60):
             m = int(rng.integers(2, 9 if rng.random() < 0.7 else 65))
             n = int(rng.integers(max(m, 3), 65))
-            C = np.repeat(rng.uniform(-1.0, 1.0, size=(m, 1)), n, axis=1)
-            C[0, 0] -= 0.5
-            row, col = C.copy(), C.copy()
-            row[0, 1] = C[0, 0] * (1.0 + rel)
-            col[1, 0] = C[1, 1] - 0.5 * (1.0 + rel)
-            shallow = C.copy()
-            shallow[-1, -1] -= max(rel, 1e-13)
-            for D in (row, col, shallow):
+            for D in _near_dips(rng, m, n, rel):
                 assert assignment._single_dip(D) is None
                 self._check(D)
 
@@ -208,17 +215,85 @@ class TestSingleDip:
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
         spec.loader.exec_module(workloads)
-        seen = []
+        # one entry per scored block: True if it took the closed form, on
+        # the stack of a multi-block call or inside ``solve_assignment``
+        seen, stacked, stack_pass = [], [], metric._single_dip_blocks
 
         def checked(C):
             seen.append(self._check(C))
             return solve_assignment(C)
 
+        def decided_checked(C, sizes):
+            decided, cols = stack_pass(C, sizes)
+            for k in np.flatnonzero(decided):
+                m, n = sizes[k]
+                assert tuple(zip(range(m), cols[k, :m].tolist())) == _refined(C[k, :m, :n])
+            stacked.extend(decided[decided].tolist())
+            return decided, cols
+
         monkeypatch.setattr(metric, "solve_assignment", checked)
+        monkeypatch.setattr(metric, "_single_dip_blocks", decided_checked)
         for request in workloads.generate(workload, 3, tmp_path / "inputs").requests:
             assert cli.main(request.argv) == 0
         capsys.readouterr()
+        assert stacked  # both workloads have multi-block calls
+        seen += stacked
         assert len(seen) > 200 and 0 < sum(seen) < len(seen)
+
+
+class TestSingleDipBlocks:
+    """The closed form over a padded stack decides each block, and gives
+    it the pairs, that ``_single_dip`` gives the block on its own."""
+
+    @staticmethod
+    def _block(rng, m, n):
+        """An m x n block: planted, metric costs, near dips or dense."""
+        lo, hi = sorted((m, n))
+        kind = int(rng.integers(4))
+        if lo == 0:
+            C = rng.uniform(-1.0, 1.0, size=(lo, hi))
+        elif kind == 0:
+            C = _planted(rng, lo, hi)
+        elif kind == 1:
+            C = _pair_matrix(rng, lo, hi, 2.0, 10.0, int(rng.integers(0, lo + 1)))
+        elif kind == 2 and lo >= 2 and hi >= 3:
+            C = _near_dips(rng, lo, hi, float(rng.choice([0.0, 1e-13, 1e-9])))[rng.integers(3)]
+        else:
+            C = rng.uniform(-1.0, 1.0, size=(lo, hi))
+        return C if m <= n else C.T
+
+    def test_each_block_as_on_its_own(self):
+        rng = np.random.default_rng(707)
+        decided_blocks = 0
+        for trial in range(120):
+            shapes = []
+            for _ in range(int(rng.integers(2, 7))):
+                m = int(rng.integers(0, 9 if rng.random() < 0.6 else 71))
+                # few free columns: n = m or m + 1 half of the time
+                few = rng.random() < 0.5
+                n = m + int(rng.integers(0, 2)) if few else int(rng.integers(0, 71))
+                shapes.append((m, n))
+            if trial % 4 == 0:  # a block above 64 next to small ones
+                shapes[0] = (int(rng.integers(1, 65)), int(rng.integers(65, 71)))
+            blocks = [self._block(rng, m, n) for m, n in shapes]
+            sizes = np.array(shapes, dtype=np.intp)
+            # padding of any value, NaN included, enters no test
+            C = rng.normal(scale=1e6, size=(len(shapes), *sizes.max(axis=0)))
+            if trial % 2:
+                C[:] = np.nan
+            for k, (m, n) in enumerate(shapes):
+                C[k, :m, :n] = blocks[k]
+            decided, cols = assignment._single_dip_blocks(C, sizes)
+            for k, block in enumerate(blocks):
+                want = assignment._single_dip(block)
+                assert decided[k] == (want is not None)
+                if want is None:
+                    continue
+                m = block.shape[0]
+                assert list(zip(range(m), cols[k, :m].tolist())) == want
+                assert tuple(want) == _refined(block)
+                decided_blocks += 1
+        assert decided_blocks > 100
 
 
 class TestOracleAgreement:

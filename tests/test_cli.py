@@ -275,16 +275,25 @@ class TestSweeps:
         assert row_49[2] == 0.0  # still unmatched at the tie point
         assert row_60[2] == pytest.approx(5.0, abs=1e-12)
 
-    # p < 1; Gaussians under the Euclidean base; c^p overflows at c = 5.9
+    # p < 1; Gaussians under the Euclidean base; c^p / 2 leaves the normal
+    # range at the first cut-off.  The sweep runs c from 0.1 to 10, so a p
+    # whose 10^p / 2 would overflow (p > 308.6) already underflows at
+    # c = 0.1 (p > 307.3): this command never reaches the overflow check,
+    # and p = 400 stops at c = 0.1 with the underflow
     @pytest.mark.parametrize(
-        "flags",
-        [["--p", "0.5"], ["--base", "euclidean"], ["--p", "400"]],
+        "flags, message",
+        [
+            (["--p", "0.5"], "1 <= p"),
+            (["--base", "euclidean"], "requires Dirac"),
+            (["--p", "400"], "underflows"),
+        ],
         ids=["p-below-1", "euclidean-gaussians", "power-overflow"],
     )
-    def test_example2_fault_writes_no_file(self, tmp_path, capsys, flags):
+    def test_example2_fault_writes_no_file(self, tmp_path, capsys, flags, message):
         out_csv = tmp_path / "ex2.csv"
-        code, out, _ = run(capsys, "sweep-example2", "--out", str(out_csv), *flags)
+        code, out, err = run(capsys, "sweep-example2", "--out", str(out_csv), *flags)
         assert (code, out) == (3, "")
+        assert message in err
         assert not out_csv.exists()
 
 

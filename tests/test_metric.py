@@ -12,6 +12,7 @@ from pgospa import (
     MBDensity,
     MBMixture,
     MetricParams,
+    SchemaError,
     append_zero_components,
     bernoulli_pgospa,
     gospa,
@@ -339,6 +340,15 @@ class TestGospa:
         res = gospa(np.zeros((0, 1)), [[7.0]], P1)
         assert res.total == pytest.approx(2.5, abs=1e-12)
         assert res.false_det == pytest.approx(2.5, abs=1e-12)
+
+    def test_points_without_coordinates_are_a_schema_error(self):
+        # rows without coordinates are refused, as ``eval`` refuses them;
+        # an array without rows is the empty set
+        for x, y in [([[]], [[1.0, 2.0]]), ([[1.0, 2.0]], [[]]), ([[]], [[]])]:
+            with pytest.raises(SchemaError, match="at least one coordinate"):
+                gospa(x, y, P1)
+        want = gospa(np.zeros((0, 2)), [[1.0, 2.0]], P1).total
+        assert gospa([], [[1.0, 2.0]], P1).total == want == 2.5
 
     def test_swapped_orientation_decomposition_sides(self):
         # more ground-truth points than estimates: the surplus is missed

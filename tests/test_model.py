@@ -678,9 +678,16 @@ def test_integers_beyond_64_bits_take_the_walk():
     assert not fast and arrays[2][MID][1, 1] == 1e30
 
 
+def number_stack(values, depth):
+    """The reader's reading of one nested field: ``_flat_entries``, then
+    ``_number_array``."""
+    regular = model._flat_entries(values, depth)
+    return None if regular is None else model._number_array(*regular)
+
+
 def nested_number_stack(values, depth):
-    """The reading ``model._number_stack`` must equal: every entry a plain
-    int or float, then numpy's own reading of the nested values."""
+    """The reading ``number_stack`` must equal: every entry a plain int or
+    float, then numpy's own reading of the nested values."""
     leaves = values
     for _ in range(depth - 1):
         leaves = [x for row in leaves for x in row]
@@ -728,8 +735,9 @@ def test_number_stack_equals_the_nested_reading(values, depth):
         except (TypeError, ValueError):  # _unchecked_fields reads these as None
             return None
 
-    got, want = read(model._number_stack), read(nested_number_stack)
-    if want is None:
+    got, want = read(number_stack), read(nested_number_stack)
+    if want is None or any(type(x) in (tuple, range) for x in values):
+        # json yields lists only: other containers are refused, not read
         assert got is None
     else:
         assert_same_arrays([got], [want])

@@ -293,13 +293,37 @@ def test_document_with_components_and_mixture_is_an_mb(tmp_path):
     assert series.decomposition["false"][0, 1] == 50.0
 
 
+def _decline_all(C, sizes):
+    """A stack closed form that decides no block."""
+    return np.zeros(len(C), bool), np.zeros(C.shape[:2], dtype=np.intp)
+
+
 def test_assignment_fault_reaches_the_array_pass(tmp_path, monkeypatch):
     root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=4, n_objects=6, seed=4)
     argv = ["montecarlo", str(root), "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 0
     good = (tmp_path / "o.csv").read_text()
-    monkeypatch.setattr(metric, "solve_assignment", faulty_solver)
+    # all 8 blocks of this scene are single-dip: with the stack closed form
+    # declining them, every block reaches the solver
+    seen = []
+    monkeypatch.setattr(metric, "_single_dip_blocks", _decline_all)
+    monkeypatch.setattr(metric, "solve_assignment", lambda C: seen.append(C) or faulty_solver(C))
     assert main(argv) == 0
+    assert len(seen) == 8
+    assert (tmp_path / "o.csv").read_text() != good
+
+
+def test_assignment_fault_reaches_a_declined_block(tmp_path, monkeypatch):
+    # the stack closed form decides 7 of this scene's 8 blocks; the solver
+    # alone sees the eighth, and its fault there changes the output
+    root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=4, n_objects=5, seed=5)
+    argv = ["montecarlo", str(root), "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0
+    good = (tmp_path / "o.csv").read_text()
+    seen = []
+    monkeypatch.setattr(metric, "solve_assignment", lambda C: seen.append(C) or faulty_solver(C))
+    assert main(argv) == 0
+    assert len(seen) == 1
     assert (tmp_path / "o.csv").read_text() != good
 
 
