@@ -120,16 +120,16 @@ def _single_dip(C: np.ndarray):
     """The lexicographically smallest optimal pair list of a single-dip
     matrix (m <= n <= ``LEX_REFINE_MAX``), or None for any other matrix:
     the one-block view of ``_single_dip_blocks``."""
-    decided, cols = _single_dip_blocks(C[None], np.array([C.shape]))
+    decided, cols = _single_dip_blocks(C[None])
     return list(zip(range(C.shape[0]), cols[0].tolist())) if decided[0] else None
 
 
-def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray) -> tuple:
+def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray | None = None) -> tuple:
     """Which blocks ``C[k, :m_k, :n_k]`` of a padded (B, M, N) stack, with
-    ``sizes[k] = (m_k, n_k)``, are finite single-dip matrices with
-    0 < m_k <= n_k <= ``LEX_REFINE_MAX``, as a (B,) mask, and for those
-    blocks the matched column of each row of their smallest optimal pair
-    lists, ``cols[k, :m_k]`` of a (B, M) array.
+    ``sizes[k] = (m_k, n_k)`` (None: every block fills the stack), are
+    finite single-dip matrices with 0 < m_k <= n_k <= ``LEX_REFINE_MAX``,
+    as a (B,) mask, and for those blocks the matched column of each row of
+    their smallest optimal pair lists, ``cols[k, :m_k]`` of a (B, M) array.
 
     In a single-dip matrix every row is flat (within tol / (4 (m + n)) of
     its maximum, tol as in ``_lex_refine``) apart from at most one entry
@@ -138,31 +138,46 @@ def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray) -> tuple:
     they go, so the smallest pair list gives them the remaining columns in
     increasing order: the pairs ``_lex_refine`` picks from any optimum.
     Each block takes the float operations of a matrix on its own, over its
-    own entries only; the padding enters no test."""
+    own entries only; the padding enters no test, and a stack without
+    padding builds no masks."""
     B, M, N = C.shape
-    m, n = sizes[:, 0], sizes[:, 1]
-    real_rows = np.arange(M) < m[:, None]
-    real_cols = np.arange(N) < n[:, None]
-    real = real_rows[:, :, None] & real_cols[:, None, :]
-    mn = (m + n)[:, None, None]
+    if sizes is None:
+        m, n, mn = M, N, M + N
+    else:
+        m, n = sizes[:, 0], sizes[:, 1]
+        mn = (m + n)[:, None, None]
+        real_rows = np.arange(M) < m[:, None]
+        real_cols = np.arange(N) < n[:, None]
+        real = real_rows[:, :, None] & real_cols[:, None, :]
     with np.errstate(all="ignore"):  # empty and non-finite blocks are declined
-        big = np.where(real, np.abs(C), 0.0).max(axis=(1, 2), initial=0.0)
-        tol = (_TIE_REL_TOL * np.maximum(1.0, big))[:, None, None]
-        top = np.where(real_cols[:, None, :], C, -np.inf).max(axis=2, initial=-np.inf)
-        gap = top[:, :, None] - C
-        low = (gap > 1e3 * mn * tol) & real
-        tested = low | (gap <= tol / (4 * mn)) | ~real
-    decided = np.isfinite(big) & (0 < m) & (m <= n) & (n <= LEX_REFINE_MAX)
+        if sizes is None:
+            big = np.abs(C).max(axis=(1, 2), keepdims=True, initial=0.0)
+            top = C.max(axis=2, keepdims=True, initial=-np.inf)
+        else:
+            big = np.where(real, np.abs(C), 0.0).max(axis=(1, 2), keepdims=True, initial=0.0)
+            top = np.where(real_cols[:, None, :], C, -np.inf)
+            top = top.max(axis=2, keepdims=True, initial=-np.inf)
+        tol = _TIE_REL_TOL * np.maximum(1.0, big)
+        gap = top - C
+        low = gap > 1e3 * mn * tol
+        tested = low | (gap <= tol / (4 * mn))
+    if sizes is not None:
+        low &= real
+        tested |= ~real
+    decided = np.isfinite(big.reshape(B)) & ((0 < m) & (m <= n) & (n <= LEX_REFINE_MAX))
     decided &= tested.all(axis=(1, 2))
     if not decided.any():
         return decided, np.zeros((B, M), dtype=np.intp)
     per_row, per_col = low.sum(axis=2), low.sum(axis=1)
-    decided &= (per_row.max(axis=1) <= 1) & (per_col.max(axis=1) <= 1)
+    decided &= np.maximum(per_row.max(axis=1), per_col.max(axis=1)) <= 1
     cols = low.argmax(axis=2)  # the column of each row's one dip
     # the r-th flat row of a block takes its r-th free column
-    flat_rows = real_rows & (per_row == 0) & decided[:, None]
-    free = real_cols & (per_col == 0) & decided[:, None]
-    free &= np.cumsum(free, axis=1) <= flat_rows.sum(axis=1)[:, None]
+    kept = decided[:, None]
+    flat_rows, free = (per_row == 0) & kept, (per_col == 0) & kept
+    if sizes is not None:
+        flat_rows &= real_rows
+        free &= real_cols
+    free &= free.cumsum(axis=1) <= flat_rows.sum(axis=1, keepdims=True)
     cols[flat_rows] = np.nonzero(free)[1]
     return decided, cols
 

@@ -480,22 +480,38 @@ _DIRAC_KEYS = frozenset({"type", "location"})
 
 
 def _flat_entries(values: list, depth: int):
-    """The entries of the ``depth``-deep nested lists ``values`` as one flat
-    list, and their shape, or None unless each of the depth - 1 outer levels
-    holds lists only, all of one length.  A level without entries ends the
-    shape, as it ends numpy's."""
+    """The entries of the ``depth``-deep nested sequences ``values`` as one
+    flat list, and their shape, or None unless each of the depth - 1 outer
+    levels holds sequences of one length.  Levels of lists, all json makes,
+    are flattened by length; a level without entries ends the shape, as it
+    ends numpy's.  Any other container is read by ``_nested_entries``."""
     flat, shape = values, [len(values)]
     for _ in range(depth - 1):
         if not flat:
             break
         if set(map(type, flat)) != _LIST_TYPE:
-            return None
+            return _nested_entries(values, depth)
         lengths = set(map(len, flat))
         if len(lengths) > 1:
             return None
         shape += lengths
         flat = list(itertools.chain.from_iterable(flat))
     return flat, shape
+
+
+def _nested_entries(values, depth: int):
+    """The entries and shape of numpy's reading of the ``depth``-deep nested
+    containers ``values``, or None unless every entry is a plain int or
+    float and numpy reads them as a regular array of numbers."""
+    try:
+        if not _NUMBER_TYPES.issuperset(map(type, _leaves(values, depth))):
+            return None
+        arr = np.array(values)
+    except (TypeError, ValueError, OverflowError):  # non-iterables, ragged stacks
+        return None
+    if arr.dtype.kind not in "if":
+        return None
+    return arr.ravel().tolist(), list(arr.shape)
 
 
 def _number_array(flat: list, shape) -> np.ndarray | None:
