@@ -30,22 +30,47 @@ optional cut-off ``c`` and then returns the clipped matrix.  W2 and
 Euclidean, which is W2 between zero covariances, share one kernel,
 ``w2_stack``, called once per ``pairwise_blocks`` call, and one selection
 rule: without ``c`` every pair is computed, and with ``c`` only the pairs
-that pass the gate.  W2^2 is
-||mx - my||^2 plus the Bures term, which is non-negative, so a pair whose
-mean gap alone reaches c (with a slack for rounding, see
-``W2_GATE_SLACK``) saturates and is not computed.  The remaining pairs are
-computed exactly as without ``c``, so the clipped matrix is bit-identical
-to ``np.minimum(D, c)`` of the full one.  The gate sums the squared mean
-gaps one coordinate at a time, so it holds no (m, n, D) temporary.  A zero
-covariance has a zero square root and a zero Bures term, so a pair with a
-Dirac side takes no eigen-solve.  Where ||mx - my||^2 overflows but the
-coordinate differences do not, the distance is taken in scaled form; an
-overflowing coordinate difference gives an infinite, hence saturated,
-distance.  Where the Bures term is not finite (covariances near the double
-range overflow its traces or ``Py^{1/2} Px Py^{1/2}``), the pair is taken
-in scaled form too: W2 is homogeneous, so it is computed with means / s
-and covariances / s^2 for a power of two s and multiplied by s.  Pairs
-whose plain form is finite keep its bits, and none of this prints a
+that pass the gate.  W2^2 is ||mx - my||^2 plus the Bures term, which is
+non-negative, so a pair whose mean gap alone reaches c saturates.  The
+reference rule (R) computes a pair if
+
+    ||mx - my||^2 <= s (tx + ty) + c^2 (1 + s),
+
+the squared gap summed one coordinate at a time, s = ``W2_GATE_SLACK``
+covering rounding and tx, ty the absolute covariance traces, or if both
+sides overflow; every pair that (R) leaves out has a computed distance of
+at least c.  The gate (``_gate``) tests the same inequality in product
+form, |mx|^2 + |my|^2 - 2 mx.my - s (tx + ty), from one batched matmul
+of the means augmented with per-row and per-column terms, against
+``c^2 (1 + s)`` with a relative margin kappa = (4 L + 8) 2^-52, L = D + 2,
+on the row and column scales |m|^2 + t and an absolute one of
+(4 L + 8) 2^-1022; ``_gate`` derives that margin, for any summation order
+of the matmul, FMA included, so that the gate computes every pair that
+(R) computes.  Rows and columns whose scale exceeds max / 16 (squared
+norms or traces that overflow or come near it) take (R) itself against
+their whole block, and NaN padding passes neither test.  A small stack
+(``_PRODUCT_MIN``: fewer than 2^14 pair coordinates, as a 70 x 72 2-D
+block) takes (R) alone, in fewer numpy calls than the product form.  The gate is
+never below (R): bit-equal operands always pass it, at every admitted c,
+since their product form is within the absolute margin of 0 and their
+squared gap under (R) is exactly 0 against a bound that is never
+negative.  So ``pairwise_blocks`` applies the equal-operand rule and the
+clip at c to the computed pairs alone, and sets every other entry to c:
+the clipped matrix is bit-identical to ``np.minimum(D, c)`` of the full
+one.  A zero covariance has a zero square root and a zero Bures term, so
+a pair with a Dirac side takes no eigen-solve.  Where ||mx - my||^2
+overflows but the coordinate differences do not, the distance is taken
+in scaled form, ``s sqrt(||diff / s||^2 + tt / s^2)`` with s = max |diff|;
+an overflowing coordinate difference gives an infinite, hence saturated,
+distance.  Where ||mx - my||^2 plus the trace terms falls below the
+normal range but the means differ (the squares of a gap below about
+1e-154 underflow), the distance takes the same scaled form, with s at
+least the root of the trace terms, so distinct means never read 0.0.
+Where the Bures term is not finite (covariances near the double range
+overflow its traces or ``Py^{1/2} Px Py^{1/2}``), the pair is taken in
+scaled form too: W2 is homogeneous, so it is computed with means / s and
+covariances / s^2 for a power of two s and multiplied by s.  Pairs whose
+plain form is finite and normal keep its bits, and none of this prints a
 warning.
 """
 
@@ -71,14 +96,21 @@ __all__ = [
 
 PSD_SQRT_TOL = 1e-9
 HELLINGER_MIN_EIG = 1e-12
-# Relative slack of the W2 cut-off gate: a pair is computed only if
-# ||mx - my||^2 < c^2 (1 + slack) + slack (tr Px + tr Py).  The Bures term
+# Relative slack of the W2 cut-off gate: a pair is left out only if
+# ||mx - my||^2 > c^2 (1 + slack) + slack (|tr Px| + |tr Py|).  The Bures term
 # is >= 0 in exact arithmetic; the slack covers its rounding and that of
 # c^2, so every pruned pair's computed distance is >= c.  The Bures term's
 # rounding scales with the traces: square roots of eigenvalues near zero
 # lift it to about sqrt(eps) (tr Px + tr Py), and it stays below 3e-8 of
 # the traces on random ill-conditioned and singular pairs up to 8-D.
 W2_GATE_SLACK = 1e-6
+_NORMAL_MIN = np.finfo(float).tiny  # 2^-1022
+# the largest row scale |m|^2 + |tr P| that the W2 gate's product form
+# takes; larger rows take the per-coordinate rule
+_H_MAX = np.finfo(float).max / 16.0
+# below this many pair coordinates (B M N D) a stack takes the
+# per-coordinate rule, which makes fewer numpy calls than the product form
+_PRODUCT_MIN = 2**14
 
 
 class BaseDistanceKind(str, Enum):
@@ -96,19 +128,31 @@ class BaseDistanceKind(str, Enum):
 
 
 def _root(dm2, diff, tt) -> np.ndarray:
-    """``sqrt(max(dm2 + tt, 0))``, ``dm2 = ||diff||^2`` over the last axis.
-    Where ``dm2`` overflowed but ``diff`` is finite it is taken in scaled
-    form, ``s sqrt(||diff / s||^2 + tt / s^2)`` with ``s = max |diff|``."""
-    out = np.sqrt(np.maximum(dm2 + tt, 0.0))
-    big = np.isinf(dm2)
-    if big.any():
-        big = big & np.isfinite(diff).all(-1)
-        out = np.array(out)
-        s = np.abs(diff[big]).max(-1)
-        scaled = ((diff[big] / s[:, None]) ** 2).sum(-1)
-        scaled = np.maximum(scaled + np.broadcast_to(tt, dm2.shape)[big] / s / s, 0.0)
-        with np.errstate(over="ignore"):
-            out[big] = s * np.sqrt(scaled)
+    """``sqrt(max(dm2 + tt, 0))``, ``dm2 = ||diff||^2`` over the last axis,
+    taken in scaled form, ``s sqrt(||diff / s||^2 + tt / s^2)``, where the
+    plain form loses the gap: where ``dm2`` overflowed but ``diff`` is
+    finite, with ``s = max |diff|``, and where ``dm2 + tt`` is >= 0 but
+    below the normal range and ``diff`` is not zero (the squares of a tiny
+    gap underflow), with ``s = max(max |diff|, sqrt(tt))``, which keeps
+    ``tt / s^2`` at most 1."""
+    sq = dm2 + tt
+    out = np.sqrt(np.maximum(sq, 0.0))
+    redo = (sq < _NORMAL_MIN) | np.isinf(dm2)
+    if not redo.any():
+        return out
+    shape = np.shape(redo)
+    k = np.flatnonzero(redo)
+    diff = np.broadcast_to(diff, shape + diff.shape[-1:]).reshape(-1, diff.shape[-1])[k]
+    tt, sq = (np.broadcast_to(a, shape).reshape(-1)[k] for a in (tt, sq))
+    tiny = sq < _NORMAL_MIN
+    gap = np.abs(diff).max(-1)
+    s = np.where(tiny, np.maximum(gap, np.sqrt(np.maximum(tt, 0.0))), gap)
+    # a negative sum is the rounding of a Bures term, and stays 0
+    ok = np.isfinite(gap) & (gap > 0.0) & (sq >= 0.0)
+    k, diff, tt, s = k[ok], diff[ok], tt[ok], s[ok]
+    scaled = np.maximum(((diff / s[:, None]) ** 2).sum(-1) + tt / s / s, 0.0)
+    out = np.array(out)  # a copy, also of a scalar
+    out.reshape(-1)[k] = s * np.sqrt(scaled)
     return out
 
 
@@ -243,23 +287,140 @@ def _nonzero(mask) -> tuple:
     return np.unravel_index(np.flatnonzero(mask), mask.shape)
 
 
+def _coordinate_gate(mx, tx, my, ty, cc) -> np.ndarray:
+    """The per-coordinate gate (R) of broadcast stacks of means and absolute
+    traces: ``||mx - my||^2 <= slack (tx + ty) + cc``, the squared gap summed
+    one coordinate at a time in place, or both sides overflowing.  Called
+    under ``_gate``'s ``np.errstate``."""
+    dm2 = mx[..., 0] - my[..., 0]
+    dm2 *= dm2
+    for k in range(1, mx.shape[-1]):
+        gap = mx[..., k] - my[..., k]
+        gap *= gap
+        dm2 += gap
+    bound = tx + ty
+    bound *= W2_GATE_SLACK
+    bound += cc
+    return (dm2 <= bound) | (np.isinf(dm2) & np.isinf(bound))
+
+
+def _gate_term(means, traces, kappa) -> tuple:
+    """Per row of a (B, rows, D) stack of means and absolute traces t: the
+    gate's row term ``|m|^2 - slack t - kappa h``, ``h = |m|^2 + t``, NaN
+    where ``h > _H_MAX``, and the mask of those rows, which take the
+    per-coordinate rule (NaN padding is not among them)."""
+    sq = np.einsum("bik,bik->bi", means, means)
+    h = sq + traces
+    term = sq - W2_GATE_SLACK * traces
+    term -= kappa * h
+    huge = h > _H_MAX
+    if huge.any():
+        term[huge] = np.nan
+    return term, huge
+
+
 def _gate(mx, Px, my, Py, c) -> np.ndarray:
-    """The pairs of (B, rows, ...) stacks that the W2 gate computes: those
-    whose mean gap does not prove d >= c."""
-    with np.errstate(over="ignore"):
-        # one coordinate at a time, in place: no (B, rows, cols, D) temporary
-        dm2 = np.zeros((mx.shape[0], mx.shape[1], my.shape[1]))
-        for k in range(mx.shape[-1]):
-            gap = mx[:, :, None, k] - my[:, None, :, k]
-            gap *= gap
-            dm2 += gap
-        del gap
-        tx, ty = np.trace(Px, axis1=2, axis2=3), np.trace(Py, axis1=2, axis2=3)
-        bound = tx[:, :, None] + ty[:, None, :]
-        bound *= W2_GATE_SLACK
-        bound += c * c * (1.0 + W2_GATE_SLACK)
-        # where the bound overflows, an overflowed ||dm||^2 may lie below it
-        return (dm2 < bound) | (np.isinf(dm2) & np.isinf(bound))
+    """The (B, rows, cols) mask of pairs of (B, rows, ...) stacks that the
+    W2 gate computes: every pair that the per-coordinate rule (R) of the
+    module docstring computes, and every pair of bit-equal operands, but
+    no pair with a NaN (padding) mean.
+
+    Product form.  With t the absolute traces, s = ``W2_GATE_SLACK``,
+    ``h = |m|^2 + t`` and ``alpha = |m|^2 - s t - kappa h`` per row (and the
+    same ``beta`` per column), one batched matmul of the rows
+    ``(-2 mx, alpha_x, 1)`` and ``(my, 1, beta_y)`` gives, for L = D + 2,
+
+        M = -2 mx.my + alpha_x + beta_y,
+
+    and a pair is computed if ``M <= tau = cc (1 + kappa) + (4 L + 8)
+    2^-1022``, with ``cc = c^2 (1 + s)`` and ``kappa = (4 L + 8) 2^-52``.
+    Rows and columns with ``h > max / 16`` take (R) itself, and so does a
+    stack of fewer than ``_PRODUCT_MIN`` pair coordinates (B M N D), for
+    which (R) makes fewer numpy calls.
+
+    Margin.  IEEE doubles, u = 2^-53, gamma_k = k u / (1 - k u); a product
+    or an FMA that underflows errs by at most eta = 2^-1075 besides its
+    relative error, a sum that underflows is exact.  Let A, B be the exact
+    |mx|^2, |my|^2, Delta = A + B - 2 mx.my the exact squared gap, and a
+    row and a column have h <= max / 16, so no step below overflows.
+
+    1. |mx|^2 in any summation order is A (1 +- gamma_D) +- 1.01 D eta,
+       and alpha_x takes three roundings of terms below 1.01 h_x, so
+       ``alpha_x - A <= -s tx - kappa h_x + (1.02 gamma_D + 2.03 u) h_x
+       + (2.1 D + 2) eta``.
+    2. M is a dot product of L terms whose products -2 mx_k my_k, alpha_x 1
+       and 1 beta_y are exact but for underflow (-2 x is exact).  In any
+       summation order, with or without FMA, each term passes at most L
+       roundings, so M is within ``gamma_L (A + B + |alpha_x| + |beta_y|)
+       + 1.01 L eta <= 2.03 gamma_L (h_x + h_y) + ...`` of its exact value.
+    3. Hence ``M <= Delta - s (tx + ty) - (kappa - K)(h_x + h_y)
+       + 5.3 L eta`` with ``K = (3.1 L + 2.1) u``, and ``kappa - K >=
+       kappa / 2``.
+    4. If cc < max / 2: tx + ty <= max / 8, so the bound T of (R) is
+       finite, and (R) computes the pair only if its coordinate sum
+       dm2 <= T.  Each difference, square and sum of dm2 shrinks it by at
+       most a factor 1 - u, so
+       ``Delta <= (dm2 + D eta) (1 + gamma_{D+2})``, and ``T <= s (tx + ty)
+       (1 + 3.01 u) + cc (1 + u) + 2 eta``.  So ``Delta - s (tx + ty) <=
+       cc (1 + gamma_{L+1}) + 1.01e-6 (3.01 u + 1.01 gamma_L)(h_x + h_y)
+       + 1.01 L eta``; the middle term is below (kappa / 2)(h_x + h_y), and
+       ``M <= cc (1 + gamma_{L+1}) + 6.4 L eta < tau``, because kappa >
+       gamma_{L+1} + 3 u and (4 L + 8) 2^-1022 >> 6.4 L eta.
+    5. If cc >= max / 2, tau >= max / 2, while every regular pair has
+       ``M <= 1.01 (A + B + |alpha_x| + |beta_y|) <= 0.26 max``.
+    6. Bit-equal operands have Delta = 0, so by 3, M <= 5.3 L eta < tau.
+       Under (R) their gap is exactly 0 and the bound is >= 0, so ``<=``
+       takes them.
+
+    (R) with absolute traces and ``<=`` computes a superset of (R) with
+    the signed traces and ``<``, which the gate replaced.  NaN padding
+    makes its terms and h NaN, so it passes neither test."""
+    n = 4 * (mx.shape[-1] + 2) + 8
+    kappa = n * 2.0**-52
+    cc = c * c * (1.0 + W2_GATE_SLACK)
+    tau = cc * (1.0 + kappa) + n * _NORMAL_MIN
+    with np.errstate(over="ignore", invalid="ignore"):
+        tx, ty = np.abs(Px.trace(axis1=2, axis2=3)), np.abs(Py.trace(axis1=2, axis2=3))
+        if mx.shape[0] * mx.shape[1] * my.shape[1] * mx.shape[2] < _PRODUCT_MIN:
+            return _coordinate_gate(mx[:, :, None], tx[:, :, None], my[:, None], ty[:, None], cc)
+        (ax, huge_x), (ay, huge_y) = _gate_term(mx, tx, kappa), _gate_term(my, ty, kappa)
+        X = np.concatenate([-2.0 * mx, ax[..., None], np.ones(ax.shape + (1,))], axis=2)
+        Y = np.concatenate([my, np.ones(ay.shape + (1,)), ay[..., None]], axis=2)
+        keep = np.matmul(X, Y.transpose(0, 2, 1)) <= tau
+        if huge_x.any():
+            for b, i in zip(*np.nonzero(huge_x)):
+                keep[b, i] |= _coordinate_gate(mx[b, i], tx[b, i], my[b], ty[b], cc)
+        if huge_y.any():
+            for b, j in zip(*np.nonzero(huge_y)):
+                keep[b, :, j] |= _coordinate_gate(mx[b], tx[b], my[b, j], ty[b, j], cc)
+    return keep
+
+
+def _real_pairs(m, n) -> tuple:
+    """The (b, i, j) indices, in C order, of the pairs of blocks of m_b rows
+    and n_b columns in a padded stack."""
+    rows = np.arange(max(m)) < np.array(m)[:, None]
+    cols = np.arange(max(n)) < np.array(n)[:, None]
+    return _nonzero(rows[:, :, None] & cols[:, None, :])
+
+
+def _same_operands(sides, b, i, j) -> np.ndarray:
+    """The positions k of the pairs ``(x[b_k, i_k], y[b_k, j_k])`` of the
+    stacked sides, each ``(means, covs, dirac)``, whose operands are
+    bit-for-bit equal: the pairs whose first mean coordinates have equal
+    bits are the candidates, and only they are compared on the full mean,
+    the kind and the covariance."""
+    (mx, Px, dx), (my, Py, dy) = sides
+    bx, by = mx.view(np.int64), my.view(np.int64)
+    k = np.flatnonzero(bx[:, :, 0][b, i] == by[:, :, 0][b, j])
+    if len(k):
+        b, i, j = b[k], i[k], j[k]
+        k = k[
+            (bx[b, i] == by[b, j]).all(1)
+            & (dx[b, i] == dy[b, j])
+            & (Px[b, i].view(np.int64) == Py[b, j].view(np.int64)).all((1, 2))
+        ]
+    return k
 
 
 def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=None) -> tuple:
@@ -271,9 +432,11 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
     an empty side has no entries to compute.  The blocks' operands are held
     as padded (B, rows, ...) stacks, and the W2 pairs of all blocks that
     pass the gate (every pair without ``c``) go through one ``w2_stack``
-    call.  Hellinger blocks are checked and computed one at a time, in
-    block order: the first block with a Dirac or a covariance that is not
-    strictly positive-definite raises its own fault."""
+    call; the equal-operand rule and the clip at ``c`` touch those pairs
+    only, every other entry is ``c``.  Hellinger blocks are checked and
+    computed in full one at a time, in block order: the first block with a
+    Dirac or a covariance that is not strictly positive-definite raises its
+    own fault."""
     kind = BaseDistanceKind(kind)
     sizes = [(len(x.r), len(y.r)) for x, y in blocks]
     # without a cut-off every real pair is computed, and clipping is a no-op
@@ -288,14 +451,16 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
     if len(dims) > 1:
         raise DimensionMismatchError(f"densities mix state dimensions {sorted(dims)}")
     m, n = [len(x.r) for x in xs], [len(y.r) for y in ys]
-    (mx, Px, dx), (my, Py, dy) = _stacked(xs, m), _stacked(ys, n)
+    sides = _stacked(xs, m), _stacked(ys, n)
+    (mx, Px, dx), (my, Py, dy) = sides
     # the stack's index of each live block
     live = np.array(live)
 
     if kind is BaseDistanceKind.EUCLIDEAN and not (dx.all() and dy.all()):
         raise ValueError("euclidean base distance requires Dirac densities")
     if kind is BaseDistanceKind.HELLINGER:
-        for k, x, y in zip(live, xs, ys):
+        d = []
+        for x, y in zip(xs, ys):
             # each block checks its own operands, so the first faulty one raises
             if x.dirac.any() or y.dirac.any():
                 raise ValueError("Hellinger distance requires Gaussian densities")
@@ -304,25 +469,18 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
                 raise ValueError(
                     "Hellinger distance requires strictly positive-definite covariances"
                 )
-            D[k, : len(x.r), : len(y.r)] = _hellinger_stack(
+            block = _hellinger_stack(
                 x.means[:, None, :], x.covs[:, None], y.means[None, :, :], y.covs[None]
             )
+            d.append(block.ravel())
+        d = np.concatenate(d)
+        b, i, j = _real_pairs(m, n)
     else:  # W2, and Euclidean: W2 between zero covariances
-        b, i, j = _nonzero(_gate(mx, Px, my, Py, cut))
-        D[live[b], i, j] = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
-
+        b, i, j = _real_pairs(m, n) if c is None else _nonzero(_gate(mx, Px, my, Py, cut))
+        d = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
     # bit-for-bit equal operands give exactly 0
-    bx, by = mx.view(np.int64), my.view(np.int64)
-    # candidates: an equal first coordinate; padded pairs only touch padding
-    b, i, j = _nonzero(bx[:, :, None, 0] == by[:, None, :, 0])
-    if len(b):
-        same = (
-            (bx[b, i] == by[b, j]).all(1)
-            & (dx[b, i] == dy[b, j])
-            & (Px[b, i].view(np.int64) == Py[b, j].view(np.int64)).all((1, 2))
-        )
-        D[live[b[same]], i[same], j[same]] = 0.0
-    np.minimum(D, cut, out=D)
+    d[_same_operands(sides, b, i, j)] = 0.0
+    D[live[b], i, j] = np.minimum(d, cut)
     return D, sizes
 
 

@@ -26,8 +26,9 @@ unmatched.
 
 ``_score_blocks`` is the one scoring core: from the existence vectors of
 B pairs of MB densities and the padded (B, M, N) stack of their clipped
-base-distance matrices it builds the costs in one broadcast, solves each
-block's assignment, and sums each block's total and decomposition.  With
+base-distance matrices it builds the costs in place over two grids,
+solves each block's assignment, and sums each block's total and
+decomposition.  With
 B > 1 one pass over the stack (``assignment._single_dip_blocks``) decides
 every single-dip block in closed form, and only the blocks it declines
 go through ``solve_assignment``; one block goes to ``solve_assignment``
@@ -277,13 +278,22 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     Missed and false detections are those of this orientation: a caller
     with the operands in the other order swaps them.
 
-    The pair terms and reduced costs are built in one broadcast over the
-    stack.  With more than one block, ``_single_dip_blocks`` decides every
+    The pair costs and reduced costs are built over the stack with the
+    operations of ``_pair_terms`` in place, two (B, M, N) grids besides
+    ``D``: the localization term into ``pair_cost``, the existence
+    mismatch term into the second grid, their sum into ``pair_cost``, and
+    the reduced costs into the second grid.  Each entry takes the
+    operations of ``_pair_terms`` in their order, so it keeps their bits.
+    ``pair_cost`` stays for the near-tie re-solve of ``_score``.  With
+    more than one block, ``_single_dip_blocks`` decides every
     single-dip block in one pass over the stack, and only the blocks it
     declines are solved one at a time by ``solve_assignment``, which tests
     them again.  One block goes straight to ``solve_assignment``, which
     tries the same closed form first, so that it is tested once.  The
-    matched terms are gathered with one index.  The total and the terms are
+    matched pair costs are gathered with one index, and for alpha = 2 the
+    two terms are taken by ``_pair_terms`` from ``rx``, ``ry`` and ``D``
+    gathered at the matched pairs, the same operations on the same
+    operands as in the grid.  The total and the terms are
     summed left to right along each block's rows or columns, the padding
     masked to +0.0, so each equals the sum over its own block.  A block
     with an empty side sums its total, all of it false detections, with
@@ -294,9 +304,15 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     cpa = c**p / alpha
     rx, ry = _padded(rx, m, M), _padded(ry, n, N)
     ry_cpa = ry * cpa
-    loc_term, mis_term = _pair_terms(rx[:, :, None], ry[:, None, :], D, p, cpa)
-    pair_cost = loc_term + mis_term
-    reduced = pair_cost - ry_cpa[:, None, :]
+    # the operations of _pair_terms, in place over two grids besides D
+    pair_cost = np.minimum(rx[:, :, None], ry[:, None, :])
+    grid = D**p
+    pair_cost *= grid
+    np.subtract(rx[:, :, None], ry[:, None, :], out=grid)
+    np.abs(grid, out=grid)
+    grid *= cpa
+    pair_cost += grid
+    reduced = np.subtract(pair_cost, ry_cpa[:, None, :], out=grid)
     if B > 1:
         decided, cols = _single_dip_blocks(reduced, sizes)
         decided = decided.tolist()
@@ -331,13 +347,15 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     np.copyto(sums[0, :, :M], pair_cost.take(at), where=rows)
     np.copyto(sums[1, :, :N], ry_cpa, where=free)
     if decompose:
-        shown = D.take(at) < c
+        matched = D.take(at)
+        loc_term, mis_term = _pair_terms(rx, ry.take(slot), matched, p, cpa)
+        shown = matched < c
         hidden = ~shown
         if B > 1:
             shown &= rows
             hidden &= rows
-        np.copyto(sums[2, :, :M], loc_term.take(at), where=shown)
-        np.copyto(sums[3, :, :M], mis_term.take(at), where=shown)
+        np.copyto(sums[2, :, :M], loc_term, where=shown)
+        np.copyto(sums[3, :, :M], mis_term, where=shown)
         np.copyto(sums[4, :, :M], rx * cpa, where=hidden)
         # columns outside gamma: the free ones and those of hidden pairs
         free.put(slot[hidden], True)

@@ -315,21 +315,21 @@ class MBDensity:
     dirac: np.ndarray
 
     def __init__(self, components=()):
+        # the densities' means and covariances are C-contiguous float arrays
+        # (``_readonly``, or rows of a checked stack), joined as raw bytes
         components = tuple(components)
         dens = [c.density for c in components]
-        covs = [None if isinstance(d, DiracDensity) else d.cov for d in dens]
-        means = [d.location if c is None else d.mean for d, c in zip(dens, covs)]
-        try:
-            stacked = np.array(means, dtype=float) if means else np.zeros((0, 0))
-        except ValueError:
-            dims = sorted({m.shape[0] for m in means})
-            raise DimensionMismatchError(f"components mix state dimensions {dims}") from None
-        dim = stacked.shape[1]
-        zero = np.zeros((dim, dim))
-        cov_stack = np.concatenate([zero if c is None else c for c in covs] or [zero[:0]])
-        dirac = np.array([c is None for c in covs], dtype=bool)
-        _fill(self, np.array([c.r for c in components], dtype=float), stacked,
-              cov_stack.reshape(len(covs), dim, dim), dirac)
+        dirac = [isinstance(d, DiracDensity) for d in dens]
+        means = [d.location if k else d.mean for d, k in zip(dens, dirac)]
+        dims = set(map(len, means))
+        if len(dims) > 1:
+            raise DimensionMismatchError(f"components mix state dimensions {sorted(dims)}")
+        n, dim = len(means), dims.pop() if dims else 0
+        zero = bytes(8 * dim * dim)
+        covs = b"".join([zero if k else d.cov for d, k in zip(dens, dirac)])
+        _fill(self, np.array([c.r for c in components], dtype=float),
+              np.frombuffer(b"".join(means)).reshape(n, dim).copy(),
+              np.frombuffer(covs).reshape(n, dim, dim).copy(), np.array(dirac, dtype=bool))
 
     @classmethod
     def from_arrays(cls, r, means, covs, dirac) -> "MBDensity":

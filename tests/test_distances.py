@@ -18,6 +18,7 @@ from pgospa import (
     gaussian_w2,
     pairwise_base_distance,
 )
+from pgospa import distances
 from pgospa.distances import w2_stack
 
 from conftest import make_gaussian
@@ -431,3 +432,116 @@ def test_bures_term_near_the_double_range_is_scaled(dim):
         full = pairwise_base_distance(xs, ys)
         assert np.isfinite(full).all()
         assert np.array_equal(pairwise_base_distance(xs, ys, c=10.0), np.full((2, 2), 10.0))
+
+
+def test_tiny_gaps_keep_their_distance():
+    # the squares of gaps below about 1e-154 underflow; the root is then
+    # taken in scaled form, so distinct points never read 0.0
+    for a, b, want in (
+        (0.0, 3e-161, 3e-161),
+        (0.0, 5e-201, 5e-201),
+        (0.0, 5e-324, 5e-324),
+        (-2.0**-600, 2.0**-600, 2.0**-599),
+    ):
+        x, y = DiracDensity([a]), DiracDensity([b])
+        for dist in (euclidean_dirac, gaussian_w2):
+            assert dist(x, y) == want
+            assert dist(y, x) == want
+    x, y = DiracDensity([0.0, 0.0]), DiracDensity([3 * 2.0**-540, 4 * 2.0**-540])
+    assert euclidean_dirac(x, y) == euclidean_dirac(y, x) == 5 * 2.0**-540
+    # a trace term that dominates a tiny gap keeps tt / s^2 finite
+    g = GaussianDensity([0.0, 0.0], 1e-310 * np.eye(2))
+    d = DiracDensity([1e-320, 0.0])
+    tt = float(np.trace(g.cov))
+    assert gaussian_w2(g, d) == gaussian_w2(d, g) == pytest.approx(math.sqrt(tt), rel=1e-12)
+    # a normal plain form keeps its bits
+    for gap in (1e-150, 1e-3, 1.0, 1e150):
+        assert euclidean_dirac(DiracDensity([0.0]), DiracDensity([gap])) == math.sqrt(gap * gap)
+
+
+def _old_gate(mx, Px, my, Py, c):
+    """The per-coordinate gate that the product form replaced: a pair of
+    (B, rows, ...) stacks is computed if its squared gap, summed one
+    coordinate at a time, is below c^2 (1 + s) + s (tr Px + tr Py), or if
+    both sides overflow."""
+    s = distances.W2_GATE_SLACK
+    with np.errstate(over="ignore", invalid="ignore"):
+        dm2 = np.zeros((mx.shape[0], mx.shape[1], my.shape[1]))
+        for k in range(mx.shape[-1]):
+            gap = mx[:, :, None, k] - my[:, None, :, k]
+            gap *= gap
+            dm2 += gap
+        bound = np.trace(Px, axis1=2, axis2=3)[:, :, None] + np.trace(Py, axis1=2, axis2=3)[:, None, :]
+        bound *= s
+        bound += c * c * (1.0 + s)
+        return (dm2 < bound) | (np.isinf(dm2) & np.isinf(bound))
+
+
+def _gate_blocks(rng, dim, c):
+    """MB pairs for the gate: offsets up to 1e8, coordinates of 1e154-1e160
+    (whose squared norms overflow) or near 1e-162 (whose squares are
+    subnormal), Diracs and Gaussians of covariance scale up to 1e300,
+    partners c (1 +- 3e-6) apart along one axis with the same covariance,
+    and bit-equal copies."""
+    scale = 1.0 if c is None else c
+
+    def side(n, offset):
+        if offset is None:
+            means = rng.uniform(0.0, 4e-162, (n, dim))
+        else:
+            means = offset + rng.uniform(-3.0, 3.0, (n, dim)) * scale * float(rng.choice([1.0, 1e3]))
+        A = rng.normal(size=(n, dim, dim))
+        covs = A @ np.swapaxes(A, -1, -2) + 0.05 * np.eye(dim)
+        covs *= rng.choice([1e-300, 1e-3, 1.0, 1e12, 1e300], size=(n, 1, 1))
+        dirac = rng.random(n) < 0.3
+        covs[dirac] = 0.0
+        return means, covs, dirac
+
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        offset = [0.0, 1e3, 1e8, -1e8, 1e154, 3e157, 1e160, None][int(rng.integers(8))]
+        (mx, Px, dx), (my, Py, dy) = side(int(rng.integers(0, 6)), offset), side(int(rng.integers(0, 5)), offset)
+        k = min(len(mx), 3)
+        near = mx[:k].copy()
+        axis = rng.integers(dim, size=k)
+        near[np.arange(k), axis] += scale * rng.choice([1.0 - 3e-6, 1.0, 1.0 + 3e-6], size=k)
+        my, Py, dy = (np.concatenate(a) for a in ((my, near, mx[:2]), (Py, Px[:k], Px[:2]), (dy, dx[:k], dx[:2])))
+        x = MBDensity.from_arrays(np.full(len(mx), 0.5), mx, Px, dx)
+        y = MBDensity.from_arrays(np.full(len(my), 0.5), my, Py, dy)
+        blocks.append((x, y))
+    return blocks
+
+
+@pytest.mark.parametrize("product_min", [None, 0], ids=["by-size", "product-form"])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_gate_computes_every_pair_of_the_coordinate_rule(dim, product_min, monkeypatch):
+    # these stacks are small: at product_min 0 they take the product form
+    if product_min is not None:
+        monkeypatch.setattr(distances, "_PRODUCT_MIN", product_min)
+    rng = np.random.default_rng(dim)
+    for _ in range(6):
+        for c in (1e-200, 0.3, 10.0, 1e200, None):
+            blocks = _gate_blocks(rng, dim, c)
+            D, sizes = distances.pairwise_blocks(blocks, c=c)
+            full, _ = distances.pairwise_blocks(blocks)
+            for k, (m, n) in enumerate(sizes):
+                want = full[k, :m, :n] if c is None else np.minimum(full[k, :m, :n], c)
+                assert D[k, :m, :n].tobytes() == want.tobytes()
+                assert D[k, :m, :n].tobytes() == distances.pairwise_base_distance(*blocks[k], c=c).tobytes()
+            if c is None:
+                continue
+            live = [(x, y) for x, y in blocks if len(x) and len(y)]
+            if not live:
+                continue
+            xs, ys = zip(*live)
+            (mx, Px, dx), (my, Py, dy) = (distances._stacked(list(s), [len(mb) for mb in s]) for s in (xs, ys))
+            keep = distances._gate(mx, Px, my, Py, c)
+            assert not (_old_gate(mx, Px, my, Py, c) & ~keep).any()
+            padding = np.isnan(mx[:, :, None, 0]) | np.isnan(my[:, None, :, 0])
+            assert not keep[padding].any()
+            same = (
+                (mx.view(np.int64)[:, :, None] == my.view(np.int64)[:, None]).all(-1)
+                & (dx[:, :, None] == dy[:, None])
+                & (Px.view(np.int64)[:, :, None] == Py.view(np.int64)[:, None]).all((-2, -1))
+            )
+            assert keep[same & ~padding].all()

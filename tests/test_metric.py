@@ -398,6 +398,39 @@ class TestGospa:
             assert total_p == pytest.approx(res.total**params.p, abs=1e-9)
 
 
+def test_gap_below_an_underflowing_cutoff_square_is_matched():
+    # at p = 1 the cut-off 1e-200 is admitted though c^2 underflows to 0;
+    # the gap 5e-201 lies within it, and its square underflows too
+    for c in (1.0, 1e-200):
+        res = gospa([[0.0]], [[5e-201]], MetricParams(c=c, p=1.0))
+        assert res.total == res.localization == 5e-201
+        assert res.matched_pairs == ((0, 0),)
+    xs = [DiracDensity([0.0]), DiracDensity([1.0]), DiracDensity([-5e-201])]
+    ys = [DiracDensity([5e-201]), DiracDensity([0.0]), DiracDensity([1.0])]
+    full = metric.pairwise_base_distance(xs, ys)
+    gated = metric.pairwise_base_distance(xs, ys, c=1e-200)
+    assert gated.tobytes() == np.minimum(full, 1e-200).tobytes()
+    assert gated[0, 0] == 5e-201 and gated[1, 2] == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_cost_grids_are_the_pair_terms(p):
+    # the in-place cost build takes _pair_terms' operations over the stack
+    rng = np.random.default_rng(int(2 * p))
+    c, alpha = 4.0, 1.5
+    params = MetricParams(c=c, p=p, alpha=alpha)
+    blocks = random_blocks(rng, c, [(0, 3), (2, 2), (5, 9), (12, 11), (1, 7)])
+    D, sizes = stack(blocks, rng)
+    rx, ry, _, _ = zip(*blocks)
+    scores = metric._score_blocks(list(rx), list(ry), D, sizes, params)
+    cpa = c**p / alpha
+    rxp = metric._padded(list(rx), sizes[:, 0], D.shape[1])
+    ryp = metric._padded(list(ry), sizes[:, 1], D.shape[2])
+    loc, mis = metric._pair_terms(rxp[:, :, None], ryp[:, None, :], D, p, cpa)
+    assert scores.pair_cost.tobytes() == (loc + mis).tobytes()
+    assert scores.reduced.tobytes() == (loc + mis - (ryp * cpa)[:, None, :]).tobytes()
+
+
 class TestMBM:
     def test_single_entry(self, rng):
         mb = make_mb(rng, 3, 2, min_n=1)

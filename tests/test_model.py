@@ -301,6 +301,29 @@ def test_components_are_views_of_the_arrays():
         mb[2]
 
 
+def test_components_constructor_equals_from_arrays(rng):
+    flags = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED")
+    cases = [((), (np.zeros(0), np.zeros((0, 0)), np.zeros((0, 0, 0)), np.zeros(0, bool)))]
+    for dim in (1, 2, 4):
+        for n in (1, 7, 20):
+            dirac = rng.random(n) < 0.3
+            A = rng.normal(size=(n, dim, dim))
+            covs = A @ np.swapaxes(A, -1, -2) + 0.05 * np.eye(dim)
+            covs[dirac] = 0.0
+            arrays = (rng.uniform(0.0, 1.0, n), rng.normal(size=(n, dim)), covs, dirac)
+            cases.append((MBDensity.from_arrays(*arrays).components, arrays))
+    for components, arrays in cases:
+        want, got = MBDensity.from_arrays(*arrays), MBDensity(components)
+        for field in ("r", "means", "covs", "dirac"):
+            a, b = getattr(want, field), getattr(got, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+            assert [a.flags[f] for f in flags] == [b.flags[f] for f in flags], field
+    mixed = [BernoulliComponent(0.5, DiracDensity([0.0, 1.0])),
+             BernoulliComponent(0.5, GaussianDensity(np.zeros(3), np.eye(3)))]
+    with pytest.raises(DimensionMismatchError, match=r"^components mix state dimensions \[2, 3\]$"):
+        MBDensity(mixed)
+
+
 # ---------------------------------------------------------------------------
 # One fault per document: a clean 20-component 4-D document (Diracs at rows 3
 # and 15) with one fault at row MID.  The exception type and message of each
