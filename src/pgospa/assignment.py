@@ -23,12 +23,12 @@ c, since a pair at or beyond c costs what leaving both unmatched costs.
 Its smallest optimal pair list is known in closed form, and 1 x 1
 matrices are among them.  ``_single_dip_blocks`` decides it for every
 block of a padded stack in one array pass, each block with the float
-operations of the block on its own; ``metric`` calls it on the stack of
-a multi-block call and solves only the blocks it declines.
-``_single_dip``, which ``solve_assignment`` tries first, is its one-block
-view.  The closed form stops at 64 per side because above that the pairs
-scipy picks for the flat rows are the ones reported, and they fix the
-last bits of the total.
+operations of the block on its own.  Its one caller is ``metric``'s
+scoring core, which runs it on every stack, one block or many, and
+solves only the blocks it declines; ``solve_assignment`` itself tries
+no closed form.  The closed form stops at 64 per side because above
+that the pairs scipy picks for the flat rows are the ones reported, and
+they fix the last bits of the total.
 
 ``enumerate_assignment`` is an independent brute-force oracle over all
 injections, limited to max(m, n) <= 8, applying the same tie-break rule.
@@ -95,41 +95,29 @@ def _check_matrix(costs) -> np.ndarray:
 
 
 def solve_assignment(costs) -> Assignment:
-    """Globally optimal matching of all min(m, n) rows/cols.
+    """Globally optimal matching of all min(m, n) rows/cols: scipy's
+    solver, then the tie walk.
 
     Ties between optimal matchings are broken toward the lexicographically
-    smallest pair list (guaranteed for max(m, n) <= LEX_REFINE_MAX).  A
-    single-dip matrix with m <= n <= LEX_REFINE_MAX (see ``_single_dip``)
-    takes that pair list in closed form, without a solver; every other
-    matrix is solved by scipy and refined.
+    smallest pair list (guaranteed for max(m, n) <= LEX_REFINE_MAX).
     """
     C = _check_matrix(costs)
     m, n = C.shape
     if min(m, n) == 0:
         return Assignment((), 0.0)
-    pairs = _single_dip(C) if m <= n <= LEX_REFINE_MAX else None
-    if pairs is None:
-        rid, cid = linear_sum_assignment(C)
-        pairs = sorted(zip(rid.tolist(), cid.tolist()))
-        if max(m, n) <= LEX_REFINE_MAX:
-            pairs = _lex_refine(C, pairs)
+    rid, cid = linear_sum_assignment(C)
+    pairs = sorted(zip(rid.tolist(), cid.tolist()))
+    if max(m, n) <= LEX_REFINE_MAX:
+        pairs = _lex_refine(C, pairs)
     return Assignment(tuple(pairs), _pairs_total(C, pairs))
 
 
-def _single_dip(C: np.ndarray):
-    """The lexicographically smallest optimal pair list of a single-dip
-    matrix (m <= n <= ``LEX_REFINE_MAX``), or None for any other matrix:
-    the one-block view of ``_single_dip_blocks``."""
-    decided, cols = _single_dip_blocks(C[None])
-    return list(zip(range(C.shape[0]), cols[0].tolist())) if decided[0] else None
-
-
-def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray | None = None) -> tuple:
+def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray) -> tuple:
     """Which blocks ``C[k, :m_k, :n_k]`` of a padded (B, M, N) stack, with
-    ``sizes[k] = (m_k, n_k)`` (None: every block fills the stack), are
-    finite single-dip matrices with 0 < m_k <= n_k <= ``LEX_REFINE_MAX``,
-    as a (B,) mask, and for those blocks the matched column of each row of
-    their smallest optimal pair lists, ``cols[k, :m_k]`` of a (B, M) array.
+    ``sizes[k] = (m_k, n_k)``, are finite single-dip matrices with
+    0 < m_k <= n_k <= ``LEX_REFINE_MAX``, as a (B,) mask, and for those
+    blocks the matched column of each row of their smallest optimal pair
+    lists, ``cols[k, :m_k]`` of a (B, M) array.
 
     In a single-dip matrix every row is flat (within tol / (4 (m + n)) of
     its maximum, tol as in ``_lex_refine``) apart from at most one entry
@@ -138,43 +126,46 @@ def _single_dip_blocks(C: np.ndarray, sizes: np.ndarray | None = None) -> tuple:
     they go, so the smallest pair list gives them the remaining columns in
     increasing order: the pairs ``_lex_refine`` picks from any optimum.
     Each block takes the float operations of a matrix on its own, over its
-    own entries only; the padding enters no test, and a stack without
-    padding builds no masks."""
+    own entries only; the padding enters no test.  A stack with no block
+    of an eligible size is declined before any pass over its entries, and
+    a stack without padding builds no masks."""
     B, M, N = C.shape
-    if sizes is None:
-        m, n, mn = M, N, M + N
-    else:
-        m, n = sizes[:, 0], sizes[:, 1]
-        mn = (m + n)[:, None, None]
+    m, n = sizes[:, 0], sizes[:, 1]
+    decided = (0 < m) & (m <= n) & (n <= LEX_REFINE_MAX)
+    cols = np.zeros((B, M), dtype=np.intp)
+    if not decided.any():
+        return decided, cols
+    mn = (m + n)[:, None, None]
+    padded = bool((m < M).any() or (n < N).any())
+    if padded:
         real_rows = np.arange(M) < m[:, None]
         real_cols = np.arange(N) < n[:, None]
         real = real_rows[:, :, None] & real_cols[:, None, :]
     with np.errstate(all="ignore"):  # empty and non-finite blocks are declined
-        if sizes is None:
-            big = np.abs(C).max(axis=(1, 2), keepdims=True, initial=0.0)
-            top = C.max(axis=2, keepdims=True, initial=-np.inf)
-        else:
+        if padded:
             big = np.where(real, np.abs(C), 0.0).max(axis=(1, 2), keepdims=True, initial=0.0)
             top = np.where(real_cols[:, None, :], C, -np.inf)
             top = top.max(axis=2, keepdims=True, initial=-np.inf)
+        else:
+            big = np.abs(C).max(axis=(1, 2), keepdims=True, initial=0.0)
+            top = C.max(axis=2, keepdims=True, initial=-np.inf)
         tol = _TIE_REL_TOL * np.maximum(1.0, big)
         gap = top - C
         low = gap > 1e3 * mn * tol
         tested = low | (gap <= tol / (4 * mn))
-    if sizes is not None:
+    if padded:
         low &= real
         tested |= ~real
-    decided = np.isfinite(big.reshape(B)) & ((0 < m) & (m <= n) & (n <= LEX_REFINE_MAX))
-    decided &= tested.all(axis=(1, 2))
+    decided &= np.isfinite(big.reshape(B)) & tested.all(axis=(1, 2))
     if not decided.any():
-        return decided, np.zeros((B, M), dtype=np.intp)
+        return decided, cols
     per_row, per_col = low.sum(axis=2), low.sum(axis=1)
     decided &= np.maximum(per_row.max(axis=1), per_col.max(axis=1)) <= 1
     cols = low.argmax(axis=2)  # the column of each row's one dip
     # the r-th flat row of a block takes its r-th free column
     kept = decided[:, None]
     flat_rows, free = (per_row == 0) & kept, (per_col == 0) & kept
-    if sizes is not None:
+    if padded:
         flat_rows &= real_rows
         free &= real_cols
     free &= free.cumsum(axis=1) <= flat_rows.sum(axis=1, keepdims=True)

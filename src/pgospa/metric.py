@@ -28,11 +28,10 @@ unmatched.
 B pairs of MB densities and the padded (B, M, N) stack of their clipped
 base-distance matrices it builds the costs in place over two grids,
 solves each block's assignment, and sums each block's total and
-decomposition.  With
-B > 1 one pass over the stack (``assignment._single_dip_blocks``) decides
-every single-dip block in closed form, and only the blocks it declines
-go through ``solve_assignment``; one block goes to ``solve_assignment``
-directly, which tries the same closed form first.
+decomposition.  One pass over the stack
+(``assignment._single_dip_blocks``) decides every single-dip block in
+closed form, whether the stack holds one block or many, and only the
+blocks it declines go through ``solve_assignment``.
 ``_score`` is its one-block case, which carries no padding, and adds the
 reported pairs and the near-tie flag.  ``pgospa`` is the dimension check,
 the orientation (``_oriented``: the smaller side first),
@@ -245,9 +244,7 @@ def _oriented(fx: MBDensity, fy: MBDensity) -> tuple:
 
 def _padded(vectors, lengths, width) -> np.ndarray:
     """The 1-D arrays ``vectors`` as the rows of a (B, width) array, padded
-    with +0.0; one vector is its own (1, width) view."""
-    if len(vectors) == 1:
-        return vectors[0][None]
+    with +0.0."""
     out = np.zeros((len(vectors), width))
     out[np.arange(width) < lengths[:, None]] = np.concatenate(vectors)
     return out
@@ -284,12 +281,10 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     mismatch term into the second grid, their sum into ``pair_cost``, and
     the reduced costs into the second grid.  Each entry takes the
     operations of ``_pair_terms`` in their order, so it keeps their bits.
-    ``pair_cost`` stays for the near-tie re-solve of ``_score``.  With
-    more than one block, ``_single_dip_blocks`` decides every
-    single-dip block in one pass over the stack, and only the blocks it
-    declines are solved one at a time by ``solve_assignment``, which tests
-    them again.  One block goes straight to ``solve_assignment``, which
-    tries the same closed form first, so that it is tested once.  The
+    ``pair_cost`` stays for the near-tie re-solve of ``_score``.
+    ``_single_dip_blocks`` decides every single-dip block in one pass over
+    the stack, one block or many, and only the non-empty blocks it
+    declines are solved, one at a time, by ``solve_assignment``.  The
     matched pair costs are gathered with one index, and for alpha = 2 the
     two terms are taken by ``_pair_terms`` from ``rx``, ``ry`` and ``D``
     gathered at the matched pairs, the same operations on the same
@@ -297,7 +292,7 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     summed left to right along each block's rows or columns, the padding
     masked to +0.0, so each equals the sum over its own block.  A block
     with an empty side sums its total, all of it false detections, with
-    ``np.sum``.  One block carries no padding and no mask."""
+    ``np.sum``."""
     B, M, N = D.shape
     m, n = sizes[:, 0], sizes[:, 1]
     p, c, alpha = params.p, params.c, params.alpha
@@ -313,11 +308,7 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     grid *= cpa
     pair_cost += grid
     reduced = np.subtract(pair_cost, ry_cpa[:, None, :], out=grid)
-    if B > 1:
-        decided, cols = _single_dip_blocks(reduced, sizes)
-        decided = decided.tolist()
-    else:
-        decided, cols = [False], np.zeros((1, M), dtype=np.intp)
+    decided, cols = _single_dip_blocks(reduced, sizes)
     empty = []
     for k, (mk, nk) in enumerate(sizes.tolist()):
         if not mk:
@@ -329,13 +320,9 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     # slot[k, i] of a (B, N) array
     step = max(N, 1)
     at = np.arange(0, B * M * step, step).reshape(B, M) + cols
-    if B == 1:  # no padding: every row and column is real
-        rows, slot, free = True, cols, np.ones((1, N), bool)
-        free.put(slot, False)
-    else:
-        rows, free = np.arange(M) < m[:, None], np.arange(N) < n[:, None]
-        slot = np.arange(0, B * step, step)[:, None] + cols
-        free.put(slot[rows], False)
+    slot = np.arange(0, B * step, step)[:, None] + cols
+    rows, free = np.arange(M) < m[:, None], np.arange(N) < n[:, None]
+    free.put(slot[rows], False)
 
     # Each sum runs strictly left to right along the last axis of its
     # slice of ``sums``: entries outside it, and padding, enter as +0.0,
@@ -350,10 +337,8 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
         matched = D.take(at)
         loc_term, mis_term = _pair_terms(rx, ry.take(slot), matched, p, cpa)
         shown = matched < c
-        hidden = ~shown
-        if B > 1:
-            shown &= rows
-            hidden &= rows
+        hidden = rows & ~shown
+        shown &= rows
         np.copyto(sums[2, :, :M], loc_term, where=shown)
         np.copyto(sums[3, :, :M], mis_term, where=shown)
         np.copyto(sums[4, :, :M], rx * cpa, where=hidden)

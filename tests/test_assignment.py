@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgospa import assignment, cli, enumerate_assignment, metric, solve_assignment
-from pgospa.metric import _pair_terms
+from pgospa import MetricParams, assignment, cli, enumerate_assignment, metric, solve_assignment
+from pgospa.metric import _pair_terms, pgospa
+from pgospa.model import mb_from_dict
+from pgospa.montecarlo import generate_runs
 
 
 class TestExamples:
@@ -70,8 +74,8 @@ class TestSolverBinding:
         monkeypatch.setattr(assignment, "linear_sum_assignment", counted)
         assert solve_assignment(C).pairs == ((0, 1), (1, 0))
         assert calls == [(2, 3)]
-        solve_assignment([[3.0]])  # one matching: no solve
-        assert calls == [(2, 3)]
+        solve_assignment([[3.0]])  # a 1 x 1 matrix is solved too
+        assert calls == [(2, 3), (1, 1)]
 
     def test_one_by_one_equals_enumeration(self):
         rng = np.random.default_rng(11)
@@ -82,22 +86,49 @@ class TestSolverBinding:
             assert got.total_cost.hex() == want.total_cost.hex()
 
     def test_single_dip_takes_no_solver(self, monkeypatch):
+        # each component has at most one partner within c: ``pgospa`` scores
+        # the pair in closed form, and the solver's result is the same
+        rng = np.random.default_rng(12)
+
+        def mb(n):
+            r, shift = rng.uniform(0.05, 1.0, n), rng.uniform(-4.0, 4.0, n)
+            return mb_from_dict({"components": [
+                {"r": float(r[i]), "density": {"type": "dirac", "location": [100.0 * i + shift[i]]}}
+                for i in range(n)
+            ]})
+
+        fx, fy = mb(20), mb(22)
+        params = MetricParams(c=10.0, p=2.0)
         calls = []
-        solve = assignment.linear_sum_assignment
+        solve, lsa = metric.solve_assignment, assignment.linear_sum_assignment
+        monkeypatch.setattr(metric, "solve_assignment", lambda C: calls.append("solve") or solve(C))
         monkeypatch.setattr(
-            assignment, "linear_sum_assignment", lambda C: calls.append(C.shape) or solve(C)
+            assignment, "linear_sum_assignment", lambda C: calls.append("lsa") or lsa(C)
         )
-        C = _pair_matrix(np.random.default_rng(12), 20, 22, 2.0, 10.0, band=20)
-        assert assignment._single_dip(C) is not None
-        got = solve_assignment(C)
+        got = pgospa(fx, fy, params)
         assert calls == []
-        assert got.pairs == _refined(C)
+        assert got.matched_pairs == tuple((i, i) for i in range(20))
+        monkeypatch.setattr(metric, "_single_dip_blocks", _decline_all)
+        want = pgospa(fx, fy, params)
+        assert calls == ["solve", "lsa"]
+        assert got == want and got.total.hex() == want.total.hex()
+
+
+def _decline_all(C, sizes):
+    """A stack closed form that decides no block."""
+    return np.zeros(len(C), bool), np.zeros(C.shape[:2], dtype=np.intp)
+
+
+def _single_dip(C):
+    """The closed form on the matrix ``C`` as a stack of one block: its
+    pair list, or None where it declines the block."""
+    decided, cols = assignment._single_dip_blocks(C[None], np.array([C.shape]))
+    return list(zip(range(C.shape[0]), cols[0].tolist())) if decided[0] else None
 
 
 def _refined(C):
     """The pair list of scipy's optimum, refined by the tie walk up to
-    ``LEX_REFINE_MAX`` per side: what ``solve_assignment`` reports when it
-    has no closed form."""
+    ``LEX_REFINE_MAX`` per side: what ``solve_assignment`` reports."""
     rid, cid = assignment.linear_sum_assignment(C)
     pairs = sorted(zip(rid.tolist(), cid.tolist()))
     if max(C.shape) <= assignment.LEX_REFINE_MAX:
@@ -148,18 +179,21 @@ def _planted(rng, m, n):
 
 
 class TestSingleDip:
-    """The closed form for single-dip matrices gives the pairs and the
-    total of the solve and the tie walk it replaces."""
+    """The closed form for single-dip matrices gives the pairs of the solve
+    and the tie walk it replaces."""
 
     @staticmethod
     def _check(C):
-        got = solve_assignment(C)
-        want = _refined(C)
-        assert got.pairs == want
-        assert got.total_cost.hex() == assignment._pairs_total(C, want).hex()
+        """Whether the closed form decides ``C``; where it does, its pairs
+        are those of the solve and the tie walk, which up to 8 per side
+        give enumeration's result."""
+        got, want = _single_dip(C), _refined(C)
         if max(C.shape) <= 8:
-            assert got == enumerate_assignment(C)
-        return assignment._single_dip(C) is not None
+            assert solve_assignment(C) == enumerate_assignment(C)
+        if got is None:
+            return False
+        assert tuple(got) == want
+        return True
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("c", [1.0, 10.0, 1e3])
@@ -188,25 +222,21 @@ class TestSingleDip:
             m = int(rng.integers(2, 9 if rng.random() < 0.7 else 65))
             n = int(rng.integers(max(m, 3), 65))
             for D in _near_dips(rng, m, n, rel):
-                assert assignment._single_dip(D) is None
+                assert _single_dip(D) is None
                 self._check(D)
 
-    def test_other_shapes_take_the_solver(self, monkeypatch):
-        # m > n and sides above 64 never try the closed form
-        tried, solved = [], []
-        single_dip, solve = assignment._single_dip, assignment.linear_sum_assignment
-        monkeypatch.setattr(
-            assignment, "_single_dip", lambda C: tried.append(C.shape) or single_dip(C)
-        )
-        monkeypatch.setattr(
-            assignment, "linear_sum_assignment", lambda C: solved.append(C.shape) or solve(C)
-        )
+    def test_other_shapes_take_the_solver(self):
+        # the closed form declines m > n, sides above 64 and empty sides,
+        # and a stack of such blocks before it reads any entry
         rng = np.random.default_rng(606)
-        shapes = [(3, 2), (9, 5), (65, 64), (2, 65), (65, 65), (70, 90)]
+        shapes = [(3, 2), (9, 5), (65, 64), (2, 65), (65, 65), (70, 90), (0, 3), (0, 0)]
         for m, n in shapes:
             C = _planted(rng, min(m, n), max(m, n))
-            solve_assignment(C.T if m > n else C)
-        assert tried == [] and solved == shapes
+            assert _single_dip(C.T if m > n else C) is None
+        sizes = np.array(shapes)
+        stack = types.SimpleNamespace(shape=(len(shapes), *sizes.max(axis=0)))
+        decided, cols = assignment._single_dip_blocks(stack, sizes)
+        assert not decided.any() and cols.shape == stack.shape[:2]
 
     @pytest.mark.parametrize("workload", ["mc-tracking", "eval-ties"])
     def test_benchmark_scenes_equal_the_dense_path(self, workload, tmp_path, monkeypatch, capsys):
@@ -215,35 +245,31 @@ class TestSingleDip:
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
         spec.loader.exec_module(workloads)
-        # one entry per scored block: True if it took the closed form, on
-        # the stack of a multi-block call or inside ``solve_assignment``
-        seen, stacked, stack_pass = [], [], metric._single_dip_blocks
-
-        def checked(C):
-            seen.append(self._check(C))
-            return solve_assignment(C)
+        # one entry per non-empty scored block: True if the closed form
+        # over its stack decided it, as it decides the block on its own
+        seen, stack_pass = [], metric._single_dip_blocks
 
         def decided_checked(C, sizes):
             decided, cols = stack_pass(C, sizes)
-            for k in np.flatnonzero(decided):
-                m, n = sizes[k]
-                assert tuple(zip(range(m), cols[k, :m].tolist())) == _refined(C[k, :m, :n])
-            stacked.extend(decided[decided].tolist())
+            for k, (m, n) in enumerate(sizes.tolist()):
+                if m:
+                    block = C[k, :m, :n]
+                    assert self._check(block) == decided[k]
+                    if decided[k]:
+                        assert tuple(zip(range(m), cols[k, :m].tolist())) == _refined(block)
+                    seen.append(bool(decided[k]))
             return decided, cols
 
-        monkeypatch.setattr(metric, "solve_assignment", checked)
         monkeypatch.setattr(metric, "_single_dip_blocks", decided_checked)
         for request in workloads.generate(workload, 3, tmp_path / "inputs").requests:
             assert cli.main(request.argv) == 0
         capsys.readouterr()
-        assert stacked  # both workloads have multi-block calls
-        seen += stacked
         assert len(seen) > 200 and 0 < sum(seen) < len(seen)
 
 
 class TestSingleDipBlocks:
     """The closed form over a padded stack decides each block, and gives
-    it the pairs, that ``_single_dip`` gives the block on its own."""
+    it the pairs, as it does the block on its own."""
 
     @staticmethod
     def _block(rng, m, n):
@@ -285,7 +311,7 @@ class TestSingleDipBlocks:
                 C[k, :m, :n] = blocks[k]
             decided, cols = assignment._single_dip_blocks(C, sizes)
             for k, block in enumerate(blocks):
-                want = assignment._single_dip(block)
+                want = _single_dip(block)
                 assert decided[k] == (want is not None)
                 if want is None:
                     continue
@@ -294,6 +320,53 @@ class TestSingleDipBlocks:
                 assert tuple(want) == _refined(block)
                 decided_blocks += 1
         assert decided_blocks > 100
+
+
+def test_each_block_is_tested_once_and_only_declined_blocks_are_solved(
+    tmp_path, monkeypatch, capsys
+):
+    # a Monte Carlo run directory (8 blocks, one declined) and one-block
+    # evals: single-dip, declined, above 64 per side and with an empty side
+    root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=4, n_objects=5, seed=5)
+
+    def eval_argv(name, xs, ys):
+        argv = ["eval"]
+        for side, locs in (("x", xs), ("y", ys)):
+            doc = {"components": [
+                {"r": 1.0, "density": {"type": "dirac", "location": [loc]}} for loc in locs
+            ]}
+            path = tmp_path / f"{name}-{side}.json"
+            path.write_text(json.dumps(doc))
+            argv.append(str(path))
+        return argv + ["--c", "5"]
+
+    runs = [
+        (["montecarlo", str(root), "--out", str(tmp_path / "o.csv")], 8, 1),
+        (eval_argv("dip", [0.0], [2.0, 30.0]), 1, 0),
+        (eval_argv("two", [0.0, 1.0], [1.2, 0.1, 40.0]), 1, 1),
+        (eval_argv("big", [100.0 * i for i in range(65)], [100.0 * j for j in range(66)]), 1, 1),
+        (eval_argv("empty", [], [0.0, 3.0]), 1, 0),
+    ]
+    tested, declined, solved = [], [], []
+    stack_pass, solve = metric._single_dip_blocks, metric.solve_assignment
+
+    def spied_pass(C, sizes):
+        decided, cols = stack_pass(C, sizes)
+        for k, (m, n) in enumerate(sizes.tolist()):
+            tested.append((m, n))
+            if m and not decided[k]:
+                declined.append(C[k, :m, :n].copy())
+        return decided, cols
+
+    monkeypatch.setattr(metric, "_single_dip_blocks", spied_pass)
+    monkeypatch.setattr(metric, "solve_assignment", lambda C: solved.append(C.copy()) or solve(C))
+    for argv, blocks, n_declined in runs:
+        del tested[:], declined[:], solved[:]
+        assert cli.main(argv) == 0
+        assert len(tested) == blocks
+        assert len(declined) == len(solved) == n_declined
+        assert all(np.array_equal(a, b) for a, b in zip(declined, solved))
+    capsys.readouterr()
 
 
 class TestOracleAgreement:

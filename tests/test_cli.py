@@ -27,6 +27,7 @@ from pgospa.model import (
     mb_from_dict,
     mbm_from_dict,
 )
+from pgospa.selfcheck import faulty_solver
 
 
 def write(path: Path, doc) -> str:
@@ -788,6 +789,27 @@ def test_cold_single_dip_eval_loads_no_solver(tmp_path, capsys):
     assert done.stdout == out
     loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
     assert not {m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "sparse"])}
+
+
+def test_assignment_fault_reaches_a_declined_one_block_eval(tmp_path, capsys, monkeypatch):
+    # row 0 has two partners within c, so the closed form declines the one
+    # block and the solver alone decides it; a single-dip pair never
+    # reaches the solver
+    declined = ["eval", write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0), dirac(1.0, 1.0))),
+                write(tmp_path / "y.json", mb_doc(dirac(1.0, 1.2), dirac(1.0, 0.1),
+                                                  dirac(1.0, 40.0))), "--c", "5"]
+    single_dip = ["eval", write(tmp_path / "a.json", mb_doc(dirac(1.0, 0.0))),
+                  write(tmp_path / "b.json", mb_doc(dirac(0.7, 2.0), dirac(0.5, 30.0))),
+                  "--c", "5"]
+    good = [run(capsys, *argv) for argv in (declined, single_dip)]
+    assert good[0][0] == good[1][0] == 0
+    seen = []
+    monkeypatch.setattr(metric, "solve_assignment", lambda C: seen.append(C.shape) or faulty_solver(C))
+    code, out, _ = run(capsys, *declined)
+    assert code == 0 and seen == [(2, 3)]
+    assert out != good[0][1]
+    assert run(capsys, *single_dip) == good[1]
+    assert seen == [(2, 3)]
 
 
 _junk = st.recursive(
