@@ -3,15 +3,15 @@
 Subcommands: ``eval`` (alias ``gospa``), ``sweep-example1``,
 ``sweep-example2``, ``montecarlo``, ``synth-runs``, ``selfcheck``, and
 test-only ``oracle`` subcommands.  ``eval`` takes MB, MB-mixture or
-point-set files; a point-set result is by definition P-GOSPA on the lifted
-MB densities (unit existence, Dirac densities).  ``sweep-example1`` takes
-one distance row and the pair formula of ``pgospa`` over its whole grid,
-with the bits of one 1 x 1 call per point.  Single results are printed
-as JSON; series are written as CSV with 12-significant-digit decimals and
-LF line endings, so repeated runs with identical inputs are byte-identical.
-The ``oracle`` and ``selfcheck`` commands import their modules when they
-run: those need ``scipy.optimize``, which ``eval`` loads only for a
-matrix larger than 1 x 1.
+point-set files (points are scored as unit-existence Dirac MB densities).
+It reads two MB documents in one ``model._stacked_mbs`` pass, as
+``mbm_from_dict`` reads the entries of a mixture; on any doubt it reads
+each document on its own, in order, which reports the first fault.
+``sweep-example1`` takes the pair formula of ``pgospa`` over one distance
+row, with the bits of one 1 x 1 call per point.  Results are JSON, series
+CSV (12 significant digits, LF endings), byte-identical from run to run.
+``oracle`` and ``selfcheck`` import their modules when they run; ``eval``
+loads ``scipy.optimize`` only when it solves an assignment.
 
 Exit codes: 0 ok, 1 property violation (selfcheck), 2 parse error,
 3 semantic error (dimension mismatch, incompatible inputs, bad paths).
@@ -24,10 +24,9 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple
 
 import numpy as np
-
-from dataclasses import astuple
 
 from . import montecarlo
 from .distances import BaseDistanceKind, pairwise_base_distance
@@ -40,6 +39,7 @@ from .model import (
     MetricParams,
     SchemaError,
     _point_masses,
+    _stacked_mbs,
     canonical_json,
     doc_kind,
     load_document,
@@ -129,7 +129,11 @@ def cmd_eval(args) -> int:
         )
         return 0
     if kx == "mb" and ky == "mb":
-        fx, fy = mb_from_dict(doc_x, allow0), mb_from_dict(doc_y, allow0)
+        # one read of both documents; any doubt goes to one read per document
+        raws = (doc_x["components"], doc_y["components"])
+        fx, fy = _stacked_mbs(raws, allow0) or (
+            mb_from_dict(doc_x, allow0), mb_from_dict(doc_y, allow0)
+        )
     elif kx == "points" and ky == "points":
         # P-GOSPA on the lifted MB densities, with the Euclidean base
         fx, fy = (_point_masses(points_from_dict(doc)) for doc in (doc_x, doc_y))

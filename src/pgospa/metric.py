@@ -32,8 +32,9 @@ decomposition.  One pass over the stack
 (``assignment._single_dip_blocks``) decides every single-dip block in
 closed form, whether the stack holds one block or many, and only the
 blocks it declines go through ``solve_assignment``.
-``_score`` is its one-block case, which carries no padding, and adds the
-reported pairs and the near-tie flag.  ``pgospa`` is the dimension check,
+A stack without padding, as every one-block stack, builds no masks.
+``_score`` is its one-block case, which adds the reported pairs and the
+near-tie flag.  ``pgospa`` is the dimension check,
 the orientation (``_oriented``: the smaller side first),
 ``pairwise_base_distance`` and ``_score``.  ``_score_pairs`` is the same
 for a list of MB pairs, with one ``pairwise_blocks`` call and one
@@ -54,9 +55,12 @@ elementwise helper, ``_pair_terms``, is the pair cost of ``pgospa``, of
 ``bernoulli_pgospa`` (1 x 1, bit for bit) and of the ``sweep-example1`` grid.
 
 The optional near-tie flag asks whether a matching that reports other
-pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimum.  A lower bound
-from the optimal duals (``_no_near_tie``) answers "no" without another
-solve whenever it clears twice that tolerance; every case it leaves
+pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimum.  Two lower bounds
+on the excess of such a matching (``_no_near_tie``) answer "no" without
+another solve whenever one clears twice that tolerance: on a block the
+closed form decided, in which the matching holds every reported pair,
+the depth of its shallowest reported dip; otherwise, or when that does
+not clear, a bound from the optimal duals.  Every case they leave
 undecided goes to ``_second_best_total_p``, which re-solves the
 assignment once per matched pair with that pair forbidden.
 """
@@ -70,6 +74,7 @@ import numpy as np
 
 from .assignment import (
     LEX_REFINE_MAX,
+    _TIE_REL_TOL,
     _duals_rows_complete,
     _left_sum,
     _single_dip_blocks,
@@ -183,52 +188,91 @@ def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
     return best
 
 
-def _no_near_tie(reduced, cols, reported, total_p, p) -> bool:
-    """True only if the optimal duals prove that every matching which
-    reports other pairs than the optimal row-complete matching M*,
-    ``i -> cols[i]`` of ``reduced`` (m <= n), exceeds the optimal metric
-    value ``total_p ** (1/p)`` by more than twice ``NEAR_TIE_ABS_TOL``;
-    False means undecided.
+def _no_near_tie(reduced, cols, reported, total_p, p, decided=False) -> bool:
+    """True only if every matching which reports other pairs than the
+    optimal row-complete matching M*, ``i -> cols[i]`` of ``reduced``
+    (m <= n), exceeds the optimal metric value ``total_p ** (1/p)`` by more
+    than twice ``NEAR_TIE_ABS_TOL``; False means undecided.  ``decided``
+    says that ``_single_dip_blocks`` decided ``reduced`` and M* is its
+    closed form.
 
-    With feasible duals (u, v) and slacks S = C - u - v, a row-complete
-    matching M' costs
+    Dip bound, on a decided block in which M* holds every reported pair.
+    Every entry of such a block is within s = tol / (4 (m + n)) of its
+    row's maximum top_i (tol as in ``_single_dip_blocks``) apart from the
+    dips, and M* takes every dip.  Let depth_i = top_i - C[i, cols[i]].  A
+    row that M' moves off cols[i] lands on an entry within s of top_i, so
+    it adds at least depth_i - s >= -s to the excess of M' over M*.  A
+    matching that reports other pairs can only drop a reported pair of M*,
+    so it moves such a row, and its excess is at least the smallest depth
+    of a reported row less m s.  A block without a reported pair has no
+    other reported pairs to offer, and the bound is +inf.
+
+    Dual bound, in every other case, and wherever the dip bound does not
+    clear.  With feasible duals (u, v) and slacks S = C - u - v, a
+    row-complete matching M' costs
         sum_{M'} S + sum_{j used by M* only} (-v_j) + sum_{j used by M' only} v_j
     more than M*, and every term is >= -eps.  A matching that reports
     other pairs moves some row i off cols[i] and thereby loses its own
     reported pair or gains one; column cols[i] then goes free (-v) or takes
     another row (S).  Those two terms bound the excess from below.
+
+    Either bound is lowered by (m + n) eps for the rounding of the costs,
+    eps = 1e-9 max(1, max |C|), and the two totals are widened by their
+    rounding before their roots are compared.
     """
     m, n = reduced.shape
     rows = np.arange(m)
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = _duals_rows_complete(reduced, cols)
-        S = reduced - u[:, None] - v[None, :]
-        eps = 1e-9 * max(1.0, float(np.abs(reduced).max()))
-        free = np.ones(n, dtype=bool)
-        free[cols] = False
-        # finite slacks imply finite duals
-        if not (
-            np.isfinite(S).all()
-            and S.min() >= -eps
-            and v.max() <= eps
-            and (v[free] >= -eps).all()
-        ):
-            return False
-        others = S.copy()
-        others[rows, cols] = np.inf
-        # L_j for j = cols[i]: column j goes free or takes another row
-        L = np.minimum(-v[cols], others[:, cols].min(axis=0))
-        # a row on a reported pair may move anywhere, others must gain one
-        may_move = reported | reported[rows, cols][:, None]
-        lb = float((L + np.where(may_move, others, np.inf).min(axis=1)).min())
-        lb -= (m + n) * eps
-        if not lb > 0.0:
-            return False
-        # widen both totals by their rounding before comparing the roots
-        rel = 4.0 * (m + n) * np.finfo(float).eps
-        lo = (total_p + lb) * (1.0 - rel)
-        hi = total_p * (1.0 + rel)
-        return bool(lo ** (1.0 / p) - hi ** (1.0 / p) > 2.0 * NEAR_TIE_ABS_TOL)
+        scale = max(1.0, float(np.abs(reduced).max()))
+        eps = 1e-9 * scale
+        kept = reported[rows, cols]
+        if decided and np.count_nonzero(kept) == np.count_nonzero(reported):
+            depth = reduced.max(axis=1) - reduced[rows, cols]
+            lb = float(depth[kept].min(initial=np.inf))
+            lb -= m * _TIE_REL_TOL * scale / (4 * (m + n))
+            if _clears(lb, total_p, p, m + n, eps):
+                return True
+        return _clears(_dual_bound(reduced, cols, reported, eps), total_p, p, m + n, eps)
+
+
+def _clears(lb, total_p, p, mn, eps) -> bool:
+    """Whether a matching that costs at least ``lb`` more than ``total_p``,
+    less ``mn`` eps for the rounding of the costs (mn = m + n), exceeds it by
+    more than twice ``NEAR_TIE_ABS_TOL`` in root units, with both totals
+    widened by their rounding."""
+    lb -= mn * eps
+    if not lb > 0.0:
+        return False
+    rel = 4.0 * mn * np.finfo(float).eps
+    lo = (total_p + lb) * (1.0 - rel)
+    hi = total_p * (1.0 + rel)
+    return bool(lo ** (1.0 / p) - hi ** (1.0 / p) > 2.0 * NEAR_TIE_ABS_TOL)
+
+
+def _dual_bound(reduced, cols, reported, eps) -> float:
+    """The dual bound of ``_no_near_tie`` before its rounding margin, or
+    -inf when the duals are not feasible within ``eps``."""
+    m, n = reduced.shape
+    rows = np.arange(m)
+    u, v = _duals_rows_complete(reduced, cols)
+    S = reduced - u[:, None] - v[None, :]
+    free = np.ones(n, dtype=bool)
+    free[cols] = False
+    # finite slacks imply finite duals
+    if not (
+        np.isfinite(S).all()
+        and S.min() >= -eps
+        and v.max() <= eps
+        and (v[free] >= -eps).all()
+    ):
+        return -np.inf
+    others = S.copy()
+    others[rows, cols] = np.inf
+    # L_j for j = cols[i]: column j goes free or takes another row
+    L = np.minimum(-v[cols], others[:, cols].min(axis=0))
+    # a row on a reported pair may move anywhere, others must gain one
+    may_move = reported | reported[rows, cols][:, None]
+    return float((L + np.where(may_move, others, np.inf).min(axis=1)).min())
 
 
 def _oriented(fx: MBDensity, fy: MBDensity) -> tuple:
@@ -255,8 +299,9 @@ class _Scores(NamedTuple):
     (a Python float) and its p-th power; for alpha = 2 the (4, B) terms in
     p-th-power units (localization, existence mismatch, missed, false) and
     which matched rows are reported (d < c), else None; the matched column
-    of each row, the optimal pair list ``(i, cols[k, i])`` of block k; and
-    the pair costs and reduced costs of the stack."""
+    of each row, the optimal pair list ``(i, cols[k, i])`` of block k; the
+    pair costs and reduced costs of the stack; and which blocks
+    ``_single_dip_blocks`` decided."""
 
     total: list
     total_p: np.ndarray
@@ -265,6 +310,7 @@ class _Scores(NamedTuple):
     cols: np.ndarray
     pair_cost: np.ndarray
     reduced: np.ndarray
+    decided: np.ndarray
 
 
 def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
@@ -290,14 +336,23 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     gathered at the matched pairs, the same operations on the same
     operands as in the grid.  The total and the terms are
     summed left to right along each block's rows or columns, the padding
-    masked to +0.0, so each equals the sum over its own block.  A block
-    with an empty side sums its total, all of it false detections, with
-    ``np.sum``."""
+    masked to +0.0, so each equals the sum over its own block.  A stack in
+    which every block is full size, as every one-block stack, is not
+    padded: its existence vectors are stacked as they are and no row or
+    column mask is built.  A block with an empty side sums its total, all
+    of it false detections, with ``np.sum``.  ``decided`` marks the blocks
+    that the closed form decided."""
     B, M, N = D.shape
     m, n = sizes[:, 0], sizes[:, 1]
     p, c, alpha = params.p, params.c, params.alpha
     cpa = c**p / alpha
-    rx, ry = _padded(rx, m, M), _padded(ry, n, N)
+    blocks = sizes.tolist()
+    if all(mk == M and nk == N for mk, nk in blocks):
+        # nothing to mask: ``rows`` stands for an all-true (B, M) mask
+        rx, ry, rows, free = np.array(rx), np.array(ry), True, np.ones((B, N), bool)
+    else:
+        rx, ry = _padded(rx, m, M), _padded(ry, n, N)
+        rows, free = np.arange(M) < m[:, None], np.arange(N) < n[:, None]
     ry_cpa = ry * cpa
     # the operations of _pair_terms, in place over two grids besides D
     pair_cost = np.minimum(rx[:, :, None], ry[:, None, :])
@@ -310,7 +365,7 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     reduced = np.subtract(pair_cost, ry_cpa[:, None, :], out=grid)
     decided, cols = _single_dip_blocks(reduced, sizes)
     empty = []
-    for k, (mk, nk) in enumerate(sizes.tolist()):
+    for k, (mk, nk) in enumerate(blocks):
         if not mk:
             empty.append(k)
         elif not decided[k]:
@@ -321,7 +376,6 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
     step = max(N, 1)
     at = np.arange(0, B * M * step, step).reshape(B, M) + cols
     slot = np.arange(0, B * step, step)[:, None] + cols
-    rows, free = np.arange(M) < m[:, None], np.arange(N) < n[:, None]
     free.put(slot[rows], False)
 
     # Each sum runs strictly left to right along the last axis of its
@@ -354,7 +408,7 @@ def _score_blocks(rx, ry, D, sizes, params: MetricParams) -> _Scores:
         if decompose:
             terms[3, k] = total_p[k]
     total = [t ** (1.0 / p) for t in total_p.tolist()]
-    return _Scores(total, total_p, terms, shown, cols, pair_cost, reduced)
+    return _Scores(total, total_p, terms, shown, cols, pair_cost, reduced, decided)
 
 
 def _score(
@@ -386,7 +440,7 @@ def _score(
         # for alpha = 2 only the pairs with d < c are reported
         reported = D < c if alpha == 2.0 else np.ones(D.shape, bool)
         reduced = scores.reduced[0]
-        if _no_near_tie(reduced, cols, reported, total_p, p):
+        if _no_near_tie(reduced, cols, reported, total_p, p, bool(scores.decided[0])):
             near_tie = False
         else:
             cpa = c**p / alpha

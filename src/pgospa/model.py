@@ -7,13 +7,14 @@ Dirac point mass).  ``MBDensity`` holds it as four arrays, its only state:
 Dirac mask ``dirac`` (n,); ``components``, ``densities`` and ``mb[k]`` are
 views built from them.  ``MBDensity.from_arrays`` builds one from copies of
 those arrays, checked in one pass that also puts the covariances in normal
-form in one batched call.  Clean documents, one or a whole Monte Carlo
-run of them, take one structural pass over their components, which
-flattens each document's nested fields as it is reached; each field of
-all of them is then read into one array, and those same checks run once
-on the stack.  A per-field walk decides faulty and odd documents: it
-builds each component in document order with the public constructors and
-is the only code that reports a fault.  An MB mixture adds normalized
+form in one batched call.  Clean documents (one, the two of an ``eval``,
+the entries of a mixture, or a whole Monte Carlo run) take one
+structural pass over their components, which flattens each document's
+nested fields as it is reached; each field of all of them is then read
+into one array, and those same checks run once on the stack.  A
+per-field walk decides faulty and odd documents: it builds each
+component in document order with the public constructors and is the
+only code that reports a fault.  An MB mixture adds normalized
 weights over several MB densities.
 All types are immutable after construction and safe to share across
 threads; numpy arrays are stored read-only.
@@ -689,24 +690,53 @@ def mb_to_dict(mb: MBDensity) -> dict:
     }
 
 
+def _stacked_entries(raw: list, allow_zero_existence: bool):
+    """The (weight, MB density) entries of the mixture list ``raw``, every
+    MB density from one ``_stacked_mbs`` call, or None when any doubt
+    remains: an entry that is not an object with a number weight and an
+    object holding 'components', a weight beyond the double range, or a
+    declined stack.  Nothing here raises."""
+    weights, lists = [], []
+    for item in raw:
+        if type(item) is not dict:
+            return None
+        weight, mb = item.get("weight"), item.get("mb")
+        if type(weight) not in _NUMBER_TYPES or type(mb) is not dict or "components" not in mb:
+            return None
+        try:
+            weights.append(float(weight))
+        except OverflowError:
+            return None
+        lists.append(mb["components"])
+    mbs = _stacked_mbs(lists, allow_zero_existence)
+    return None if mbs is None else list(zip(weights, mbs))
+
+
 def mbm_from_dict(data, allow_zero_existence: bool = False) -> MBMixture:
+    """Validate a parsed MB mixture.  A clean document reads every entry's
+    MB density in one ``_stacked_mbs`` call; any fault or odd input is
+    decided by reading the entries one by one in document order, each
+    weight before its MB density, which reports the first faulty entry.
+    The weights are checked, and renormalized, by ``MBMixture``."""
     data = _require_mapping(data, "MB mixture")
     if "mixture" not in data:
         raise SchemaError("MB mixture requires a 'mixture' list")
     raw = data["mixture"]
     if not isinstance(raw, list):
         raise SchemaError("'mixture' must be a list")
-    entries = []
-    for k, item in enumerate(raw):
-        item = _require_mapping(item, f"mixture entry {k}")
-        if "weight" not in item or "mb" not in item:
-            raise SchemaError(f"mixture entry {k} requires 'weight' and 'mb'")
-        entries.append(
-            (
-                _number(item["weight"], f"mixture entry {k}: weight"),
-                mb_from_dict(item["mb"], allow_zero_existence),
+    entries = _stacked_entries(raw, allow_zero_existence)
+    if entries is None:
+        entries = []
+        for k, item in enumerate(raw):
+            item = _require_mapping(item, f"mixture entry {k}")
+            if "weight" not in item or "mb" not in item:
+                raise SchemaError(f"mixture entry {k} requires 'weight' and 'mb'")
+            entries.append(
+                (
+                    _number(item["weight"], f"mixture entry {k}: weight"),
+                    mb_from_dict(item["mb"], allow_zero_existence),
+                )
             )
-        )
     return MBMixture(entries)
 
 

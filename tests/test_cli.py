@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import linecache
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgospa import cli, metric
+from pgospa import cli, metric, model
 from pgospa.cli import main
 from pgospa.distances import pairwise_base_distance
 from pgospa.metric import mbm_pgospa, pgospa
@@ -810,6 +811,106 @@ def test_assignment_fault_reaches_a_declined_one_block_eval(tmp_path, capsys, mo
     assert out != good[0][1]
     assert run(capsys, *single_dip) == good[1]
     assert seen == [(2, 3)]
+
+
+def _both_reads(capsys, monkeypatch, argv) -> list:
+    """``eval``'s exit code, stdout, stderr and warnings (category, text and
+    the source line they point at), first as it runs, then with every
+    one-pass read declined, so that each document and each mixture entry
+    is read on its own, in order."""
+    results = []
+    for declined in (False, True):
+        with monkeypatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if declined:
+                patch.setattr(cli, "_stacked_mbs", lambda raws, allow: None)
+                patch.setattr(model, "_stacked_entries", lambda raw, allow: None)
+            code, out, err = run(capsys, *argv)
+        shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        results.append((code, out, err, shown))
+    return results
+
+
+_G2 = gauss(0.9, [1.0, 2.0], [[1.0, 0.2], [0.2, 2.0]])
+_ASYMMETRIC = gauss(0.5, [0.0, 0.0], [[1.0, 3.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "docs, code, message",
+    [
+        ([mb_doc(_G2, dirac(1.2, 0.0, 0.0)), mb_doc(dirac(1.0, 0.0, True))], 2,
+         "component 1: existence probability out of range (r=1.2)"),
+        ([mb_doc(_G2), mb_doc(dirac(0.5, 1.0, 1.0), _ASYMMETRIC)], 2,
+         "covariance is not symmetric (max asymmetry 3 > 1e-09)"),
+        ([mb_doc(_G2), mb_doc(dirac(1.0, 0.0, 0.0, 1.0))], 3,
+         "MB densities have dimensions 2 and 3"),
+        ([mb_doc(dirac(0.0, 1.0, 1.0), _G2), mb_doc(dirac(0.0, 1.0, 2.0))], 2,
+         "component 0: existence probability out of range (r=0.0)"),
+        # the mixture is read first, its entries in order, each weight first
+        ([mb_doc(dirac(1.2, 0.0, 0.0)),
+          _mixture(mb_doc(_G2, dirac(-1.0, 0.0, 0.0)), mb_doc(dirac(1.0, True, 0.0)))], 2,
+         "component 1: existence probability out of range (r=-1.0)"),
+        ([{"mixture": [{"weight": 0.5, "mb": mb_doc(_G2)},
+                       {"weight": "0.5", "mb": mb_doc(dirac(1.2, 0.0, 0.0))}]}, _ONE_DIRAC], 2,
+         "mixture entry 1: weight is not a number"),
+        ([mb_doc(dirac(1.2, 0.0, 0.0)), _mixture(mb_doc(_G2), mb_doc(dirac(1.0, 0.0, 0.0, 0.0)))],
+         3, "mixture entries mix state dimensions [2, 3]"),
+    ],
+    ids=["x-and-y-faulty", "y-faulty", "2d-against-3d", "zero-r-without-flag",
+         "mixture-entry-before-reference", "weight-before-later-entry", "mixture-dimensions"],
+)
+def test_one_pass_read_reports_the_first_fault(tmp_path, capsys, monkeypatch, docs, code, message):
+    paths = [write(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    one_pass, per_document = _both_reads(capsys, monkeypatch, ["eval", *paths])
+    assert one_pass == per_document == (code, "", f"error: {message}\n", [])
+
+
+@pytest.mark.parametrize(
+    "docs, flags",
+    [
+        ([mb_doc(), mb_doc(_G2, dirac(0.4, 3.0, 1.0))], []),
+        ([mb_doc(dirac(0.4, 3.0, 1.0), _G2), mb_doc()], []),
+        ([mb_doc(dirac(0.0, 1.0, 1.0), _G2), mb_doc(dirac(0.0, 1.0, 2.0), dirac(0.7, 0.0, 0.0))],
+         ["--allow-zero-r"]),
+    ],
+    ids=["empty-x", "empty-y", "zero-r-in-both"],
+)
+def test_one_pass_read_prints_the_per_document_output(tmp_path, capsys, monkeypatch, docs, flags):
+    paths = [write(tmp_path / f"doc{k}.json", doc) for k, doc in enumerate(docs)]
+    stacked, calls = model._stacked_mbs, []
+    monkeypatch.setattr(cli, "_stacked_mbs", lambda raws, allow: calls.append(
+        (len(raws), allow)) or stacked(raws, allow))
+    code, out, err = run(capsys, "eval", *paths, *flags)
+    assert (code, err, calls) == (0, "", [(2, bool(flags))])
+    fx, fy = (mb_from_dict(doc, bool(flags)) for doc in docs)
+    want = pgospa(fx, fy, MetricParams(), detect_near_ties=True)
+    assert out == canonical_json(want.to_dict()) + "\n"
+    monkeypatch.undo()
+    one_pass, per_document = _both_reads(capsys, monkeypatch, ["eval", *paths, *flags])
+    assert one_pass == per_document == (0, out, "", [])
+
+
+def test_one_pass_mixture_read_warns_as_the_per_entry_read(tmp_path, capsys, monkeypatch):
+    mix = {"mixture": [{"weight": 0.3, "mb": mb_doc(_G2)}, {"weight": 0.3, "mb": mb_doc()},
+                       {"weight": 0.3, "mb": mb_doc(dirac(0.5, 4.0, 4.0))}]}
+    argv = ["eval", write(tmp_path / "ref.json", mb_doc(_G2)), write(tmp_path / "mix.json", mix)]
+    stacked, calls = model._stacked_mbs, []
+    monkeypatch.setattr(model, "_stacked_mbs", lambda raws, allow: calls.append(
+        len(raws)) or stacked(raws, allow))
+    one_pass, per_document = _both_reads(capsys, monkeypatch, argv)
+    # one pass: the entries, then the reference; declined: one call per document
+    assert calls == [3, 1, 1, 1, 1, 1]
+    assert one_pass == per_document
+    code, out, err, shown = one_pass
+    assert (code, err) == (0, "")
+    weights = [e["weight"] for e in json.loads(out)["mixture"]["entries"]]
+    assert weights == [0.3 / (0.3 + 0.3 + 0.3)] * 3
+    # the warning points at the line of cmd_eval that reads the mixture,
+    # which Python prints under it on stderr
+    [(category, text, filename, lineno)] = shown
+    assert (category, text, filename) == (
+        UserWarning, "mixture weights sum to 0.9; renormalizing", cli.__file__)
+    assert linecache.getline(filename, lineno).strip() == "mix = mbm_from_dict(doc_mix, allow0)"
 
 
 _junk = st.recursive(

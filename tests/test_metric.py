@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from pgospa import (
     pgospa,
 )
 from pgospa import metric
-from pgospa.assignment import solve_assignment
+from pgospa.assignment import _single_dip_blocks, solve_assignment
 from pgospa.model import mb_from_dict
 from pgospa.oracles import brute_force_assignment_sets, brute_force_pgospa
 
@@ -308,6 +309,58 @@ class TestNearTieCertificate:
                 certified += 1
                 assert second - best > 2 * metric.NEAR_TIE_ABS_TOL
         assert 100 < certified < 500
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_dip_bound_holds_on_single_dip_matrices(self, p):
+        # Matrices the closed form decides: flat rows jittered inside its flat
+        # tolerance, dips at depths whose root-unit gaps straddle twice the
+        # near-tie tolerance (at p = 1 every dip is deeper, and the near ties
+        # come from reported flat entries), reported dips, and some reported
+        # flat entries, matched or not.  The best matching that reports other
+        # pairs is found by enumeration.
+        rng = np.random.default_rng([4, int(p)])
+        twice_tol = 2 * metric.NEAR_TIE_ABS_TOL
+        outcomes, near_ties = [], 0
+        for trial in range(900):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(m, 6))
+            top = rng.uniform(-2.0, 2.0, m)
+            C = top[:, None] - rng.uniform(0.0, 0.9e-12 / (4 * (m + n)), (m, n))
+            dips = np.flatnonzero(rng.random(m) < 0.7)
+            dip_cols = rng.permutation(n)[: len(dips)]
+            C[dips, dip_cols] = top[dips] - 10.0 ** rng.uniform(-8.5, -4.0, len(dips))
+            decided, cols = _single_dip_blocks(C[None], np.array([C.shape]))
+            if not decided[0]:
+                continue
+            rows, cols = np.arange(m), cols[0]
+            reported = np.zeros((m, n), bool)
+            shown_dips = rng.random(len(dips)) < 0.8
+            reported[dips[shown_dips], dip_cols[shown_dips]] = True
+            flat_rows = np.setdiff1d(rows, dips)
+            if trial % 3 == 1 and len(flat_rows):  # a matched flat entry
+                i = rng.choice(flat_rows)
+                reported[i, cols[i]] = True
+            elif trial % 3 == 2:  # any entry, mostly an unmatched flat one
+                reported[rng.integers(m), rng.integers(n)] = True
+            offset = 10.0 ** rng.uniform(1.0, 4.0)  # keeps every total positive
+            total_p = math.fsum(C[rows, cols]) + offset
+            shown = {(i, j) for i, j in enumerate(cols.tolist()) if reported[i, j]}
+            second = min(
+                (
+                    math.fsum(C[rows, perm]) + offset
+                    for perm in itertools.permutations(range(n), m)
+                    if {(i, j) for i, j in enumerate(perm) if reported[i, j]} != shown
+                ),
+                default=np.inf,
+            )
+            gap = second ** (1.0 / p) - total_p ** (1.0 / p)
+            near_ties += gap <= twice_tol
+            outcomes.append(metric._no_near_tie(C, cols, reported, total_p, p, True))
+            if outcomes[-1]:
+                assert gap > twice_tol, (trial, C, reported)
+        assert near_ties > 0
+        assert outcomes.count(True) > 100  # certified "no near tie"
+        assert outcomes.count(False) > 100  # declined
 
     def test_clear_optimum_is_certified(self, outcomes):
         # each x component has one y component within c; the third y is
