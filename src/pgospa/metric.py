@@ -39,8 +39,9 @@ the orientation (``_oriented``: the smaller side first),
 ``pairwise_base_distance`` and ``_score``.  ``_score_pairs`` is the same
 for a list of MB pairs, with one ``pairwise_blocks`` call and one
 ``_score_blocks`` call over all of them; the Monte Carlo run pass scores
-the steps of a run with it, and ``mbm_pgospa`` and ``eval`` the entries
-of a mixture.  ``gospa`` evaluates point sets: its result is by
+all the steps of a run with it and its step loop one MB step at a time,
+and ``mbm_pgospa``, ``eval`` and that step loop (``_mixture_totals``) the
+entries of a mixture.  ``gospa`` evaluates point sets: its result is by
 definition the metric above on the lifted MB densities (all existence
 probabilities one, Dirac densities at the points) with the Euclidean
 base distance, and it calls ``pgospa`` on exactly those.
@@ -447,11 +448,9 @@ def _score(
             second = _second_best_total_p(
                 reduced, scores.pair_cost[0], ry, cpa, pairs, reported
             )
-            if np.isfinite(second):
-                gap = second ** (1.0 / p) - total_p ** (1.0 / p)
-                near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
-            else:
-                near_tie = False
+            # a second best of inf gives a gap of +inf, or of NaN: no near tie
+            gap = second ** (1.0 / p) - total_p ** (1.0 / p)
+            near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
 
     if scores.terms is None:
         gamma = pairs

@@ -25,8 +25,11 @@ refuses are read one document at a time through ``mb_from_dict``, which
 raises the first fault.  If anything
 in a run's pass refuses or raises (a mixture, a faulty or odd document, a
 dimension mismatch, a base-distance fault), the run is scored step by
-step through ``pgospa`` and ``mbm_pgospa`` instead, which raises the
-first fault in step order.  Both give bit-identical totals and terms.
+step instead, through the same multi-pair entries: ``_score_pairs`` for
+an MB step and ``metric._mixture_totals`` for a mixture step.  Each step
+is read only after the steps before it are scored, so the first fault in
+step order is the one raised.  Both routes give bit-identical totals and
+terms.
 
 Aggregation: at each time step the root-mean-square value is
 (mean over runs of total^p)^(1/p).  Decomposition series, which live in
@@ -49,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 from .distances import BaseDistanceKind
-from .metric import _score_pairs, mbm_pgospa, pgospa
+# pgospa and mbm_pgospa are not called here; perfbench/tracing.py wraps them by these names
+from .metric import _mixture_totals, _score_pairs, mbm_pgospa, pgospa  # noqa: F401
 from .model import (
     MBDensity,
     MBMixture,
@@ -68,7 +72,6 @@ from .model import (
 __all__ = ["RunSeries", "evaluate_run_dir", "rms_series", "write_rms_csv", "generate_runs"]
 
 DECOMP_KEYS = ("localization", "existence_mismatch", "missed", "false")
-DECOMP_ATTRS = ("localization", "existence_mismatch", "missed", "false_det")
 
 
 @dataclass(frozen=True)
@@ -112,39 +115,33 @@ def _densities(paths) -> list | None:
         return None
 
 
-def _run_pass(paths, truths, params, base) -> tuple | None:
-    """One run's totals and p-th-power terms (None unless alpha = 2), one
-    entry per step, from one array pass: its documents through
-    ``_densities`` and all its steps through one ``metric._score_pairs``
-    call.  None if anything refuses or raises; the caller then scores the
-    run step by step, which reports its first fault."""
-    estimates = _densities(paths)
-    if estimates is None:
-        return None
-    try:
-        return _score_pairs(list(zip(estimates, truths)), params, base)
-    except _STEP_ERRORS:
-        return None
-
-
-def _step_score(path, truth, params, base):
-    """One step scored on its own: a ``pgospa`` result, or the total of a
-    mixture estimate."""
+def _step_score(path, truth, params, base) -> tuple:
+    """One step scored on its own, as ``_score_pairs`` scores it: its total
+    in a list, and its (4, 1) terms, None for a mixture estimate."""
     doc = load_document(path)
     if doc_kind(doc) == "mbm":
-        return mbm_pgospa(mbm_from_dict(doc), truth, params, base)
-    return pgospa(mb_from_dict(doc), truth, params, base)
+        return [_mixture_totals(mbm_from_dict(doc), truth, params, base)[0]], None
+    return _score_pairs([(mb_from_dict(doc), truth)], params, base)
 
 
-def _step_rows(paths, truths, params, base) -> tuple:
-    """``_run_pass``'s totals and terms, scored step by step through
-    ``_step_score``; the terms are None unless alpha = 2 and no estimate is
-    a mixture."""
-    results = [_step_score(path, truth, params, base) for path, truth in zip(paths, truths)]
-    totals = [getattr(res, "total", res) for res in results]  # a mixture gives a float
-    if params.alpha != 2.0 or any(isinstance(res, float) for res in results):
-        return totals, None
-    return totals, [[getattr(res, attr) for res in results] for attr in DECOMP_ATTRS]
+def _run_rows(paths, truths, params, base) -> tuple:
+    """One run's totals and p-th-power (4, steps) terms (None unless
+    alpha = 2 and every estimate is an MB density), one entry per step.
+    The run's documents go through ``_densities`` and all its steps through
+    one ``_score_pairs`` call; if anything there refuses or raises, each
+    step is read and scored in turn by ``_step_score``, which raises the
+    first fault in step order."""
+    estimates = _densities(paths)
+    if estimates is not None:
+        try:
+            return _score_pairs(list(zip(estimates, truths)), params, base)
+        except _STEP_ERRORS:
+            pass
+    totals, terms = zip(*(_step_score(path, truth, params, base)
+                          for path, truth in zip(paths, truths)))
+    if any(t is None for t in terms):
+        return np.concatenate(totals), None
+    return np.concatenate(totals), np.concatenate(terms, 1)
 
 
 def evaluate_run_dir(
@@ -168,29 +165,20 @@ def evaluate_run_dir(
     if truths is None:
         truths = [mb_from_dict(load_document(path)) for path in truth_files.values()]
 
-    totals = np.zeros((len(run_names), len(labels)))
-    decomp = {key: np.zeros_like(totals) for key in DECOMP_KEYS}
-    decomposable = params.alpha == 2.0
-    for ri, run_name in enumerate(run_names):
+    rows = []
+    for run_name in run_names:
         rdir = runs_dir / run_name
         run_files = _timestep_files(rdir)
         if tuple(run_files) != labels:
             raise ValueError(
                 f"missing/misaligned run files in {rdir}: expected {list(labels)}"
             )
-        paths = run_files.values()
-        rows = _run_pass(paths, truths, params, base)
-        if rows is None:
-            rows = _step_rows(paths, truths, params, base)
-        totals[ri], terms = rows
-        if terms is None:
-            decomposable = False
-        elif decomposable:
-            for key, row in zip(DECOMP_KEYS, terms):
-                decomp[key][ri] = row
+        rows.append(_run_rows(run_files.values(), truths, params, base))
+    totals, terms = zip(*rows)
+    decomposable = all(t is not None for t in terms)
     return RunSeries(
-        totals=totals,
-        decomposition=decomp if decomposable else None,
+        totals=np.array(totals, dtype=float),
+        decomposition=dict(zip(DECOMP_KEYS, np.stack(terms, 1))) if decomposable else None,
         timesteps=labels,
         p=params.p,
     )

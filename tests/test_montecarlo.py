@@ -1,7 +1,10 @@
 import importlib.util
+import inspect
 import io
+import linecache
 import math
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +281,62 @@ def test_truth_document_with_an_extra_key_is_scored(tmp_path, monkeypatch):
     assert series.totals.tobytes() == totals.tobytes()
     for key in TERMS:
         assert series.decomposition[key].tobytes() == terms[key].tobytes(), key
+
+
+def assert_equals_per_step(root, params):
+    series = evaluate_run_dir(root, params)
+    totals, terms = per_step(root, params, BaseDistanceKind.W2)
+    assert series.totals.tobytes() == totals.tobytes()
+    if params.alpha != 2.0:
+        assert series.decomposition is None
+        return
+    for key in TERMS:
+        assert series.decomposition[key].tobytes() == terms[key].tobytes(), key
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.0])
+def test_mb_run_on_the_step_loop_equals_per_step_scoring(tmp_path, monkeypatch, alpha):
+    # an extra key in one estimate declines run001's pass: that run alone
+    # is scored step by step
+    root = generate_runs(tmp_path / "rd", n_runs=3, n_steps=4, n_objects=4, seed=8)
+    path = root / "runs" / "run001" / "t002.json"
+    doc = load_document(path)
+    doc["components"][0]["label"] = "object 0"
+    path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    step_score, scored = montecarlo._step_score, []
+    monkeypatch.setattr(montecarlo, "_step_score",
+                        lambda path, *args: scored.append(path) or step_score(path, *args))
+    assert_equals_per_step(root, MetricParams(c=3.0, p=2.0, alpha=alpha))
+    assert scored == sorted((root / "runs" / "run001").glob("*.json"))
+
+
+def test_steps_of_two_state_dimensions_equal_per_step_scoring(tmp_path):
+    # the truth and every run are 2-D at t000 and 3-D at t001
+    root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=2, n_objects=3, dim=2, seed=9)
+    other = generate_runs(tmp_path / "3d", n_runs=2, n_steps=2, n_objects=3, dim=3, seed=9)
+    for src in other.rglob("t001.json"):
+        shutil.copy(src, root / src.relative_to(other))
+    assert_equals_per_step(root, MetricParams(c=3.0, p=2.0, alpha=2.0))
+
+
+def test_step_loop_mixture_read_warns_at_its_reader(tmp_path, capsys):
+    root = generate_runs(tmp_path / "rd", n_runs=2, n_steps=3, seed=3, mixture=True)
+    path = root / "runs" / "run001" / "t001.json"
+    doc = load_document(path)
+    doc["mixture"][0]["weight"], doc["mixture"][1]["weight"] = 0.5, 0.4
+    path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["montecarlo", str(root), "--out", str(tmp_path / "o.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    [(category, text, filename, lineno)] = [
+        (w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert (category, text, filename) == (
+        UserWarning, "mixture weights sum to 0.9; renormalizing", montecarlo.__file__)
+    # the warning points at the line of _step_score that reads the mixture
+    lines, first = inspect.getsourcelines(montecarlo._step_score)
+    assert first <= lineno < first + len(lines)
+    assert "mbm_from_dict(doc)" in linecache.getline(filename, lineno)
 
 
 def test_document_with_components_and_mixture_is_an_mb(tmp_path):
