@@ -38,6 +38,7 @@ from .model import (
     MBDensity,
     MetricParams,
     SchemaError,
+    _float_array,
     _point_masses,
     _stacked_mbs,
     canonical_json,
@@ -242,7 +243,7 @@ def cmd_oracle_assign(args) -> int:
     doc = load_document(args.file)
     if not isinstance(doc, dict) or "costs" not in doc:
         raise SchemaError("expected an object with a 'costs' matrix")
-    res = enumerate_assignment(np.asarray(doc["costs"], dtype=float))
+    res = enumerate_assignment(_float_array(doc["costs"], "'costs'"))
     _print_json(
         {"pairs": [list(pr) for pr in res.pairs], "total_cost": res.total_cost}
     )

@@ -97,6 +97,9 @@ __all__ = ["PGospaResult", "bernoulli_pgospa", "pgospa", "gospa", "mbm_pgospa"]
 
 NEAR_TIE_ABS_TOL = 1e-9
 
+# report names of the alpha = 2 decomposition terms, in ``_Scores`` order
+DECOMP_KEYS = ("localization", "existence_mismatch", "missed", "false")
+
 
 @dataclass(frozen=True)
 class PGospaResult:
@@ -116,15 +119,10 @@ class PGospaResult:
     near_tie: bool | None = None
 
     def to_dict(self) -> dict:
-        if self.localization is None:
-            decomposition = None
-        else:
-            decomposition = {
-                "localization": self.localization,
-                "existence_mismatch": self.existence_mismatch,
-                "missed": self.missed,
-                "false": self.false_det,
-            }
+        decomposition = None
+        if self.localization is not None:
+            terms = (self.localization, self.existence_mismatch, self.missed, self.false_det)
+            decomposition = dict(zip(DECOMP_KEYS, terms))
         return {
             "total": self.total,
             "p": self.p,

@@ -53,7 +53,7 @@ import numpy as np
 
 from .distances import BaseDistanceKind
 # pgospa and mbm_pgospa are not called here; perfbench/tracing.py wraps them by these names
-from .metric import _mixture_totals, _score_pairs, mbm_pgospa, pgospa  # noqa: F401
+from .metric import DECOMP_KEYS, _mixture_totals, _score_pairs, mbm_pgospa, pgospa  # noqa: F401
 from .model import (
     MBDensity,
     MBMixture,
@@ -70,9 +70,6 @@ from .model import (
 )
 
 __all__ = ["RunSeries", "evaluate_run_dir", "rms_series", "write_rms_csv", "generate_runs"]
-
-DECOMP_KEYS = ("localization", "existence_mismatch", "missed", "false")
-
 
 @dataclass(frozen=True)
 class RunSeries:
@@ -201,15 +198,9 @@ def write_rms_csv(stream, series: RunSeries) -> None:
         stream.write(
             "# decomposition terms: per-term mean of p-th powers across runs, then 1/p root\n"
         )
-        header = "t,rms_total," + ",".join(f"rms_{k}" for k in DECOMP_KEYS)
-        columns = ["rms_total"] + [f"rms_{k}" for k in DECOMP_KEYS]
-    else:
-        header = "t,rms_total"
-        columns = ["rms_total"]
-    stream.write(header + "\n")
-    for ti in range(len(series.timesteps)):
-        cells = [f"{agg[col][ti]:.12g}" for col in columns]
-        stream.write(f"{ti}," + ",".join(cells) + "\n")
+    stream.write(",".join(["t", *agg]) + "\n")
+    for ti, row in enumerate(zip(*agg.values())):
+        stream.write(",".join([str(ti), *(f"{v:.12g}" for v in row)]) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,21 @@ _ONE_DIRAC = mb_doc(dirac(1.0, 0.0))
         ),
         (["oracle", "assign", "{0}"], [{}], "expected an object with a 'costs' matrix"),
         (
+            ["oracle", "assign", "{0}"],
+            [{"costs": [["1", 2.0]]}],
+            "'costs' is not an array of numbers",
+        ),
+        (
+            ["oracle", "assign", "{0}"],
+            [{"costs": [[True, 0.5]]}],
+            "'costs' is not an array of numbers",
+        ),
+        (
+            ["oracle", "assign", "{0}"],
+            [{"costs": [[1.0, 2.0], [3.0]]}],
+            "'costs' is not an array of numbers",
+        ),
+        (
             ["oracle", "ot-dirac", "{0}", "{1}"],
             [mb_doc(gauss(1.0, [0.0], [[1.0]])), _ONE_DIRAC],
             "ot-dirac requires Dirac single-object densities",

@@ -175,6 +175,27 @@ def test_eval_outputs(eval_files, capsys, flags):
     assert digest.hexdigest() == EVAL_PARAMS[flags]
 
 
+# SHA-256 of the ``selfcheck`` report and its exit code, per seed and flags;
+# the faulty solver's reports hold the reproduction record of a violation
+SELFCHECK = {
+    ("0",):
+        ("f19c68469d9860986baa74c37a76d02530d1e9c0b45b08c55606fa7981f83889", 0),
+    ("0", "--inject-fault"):
+        ("d910b1af1e81a13cd911553ad62b60c69e99beb1865dcecb5cb0f110fc143062", 1),
+    ("3",):
+        ("dbda1e0001ab1b77606620853f8bb1a106a708b270e8bcf89c8fb4ef4b38feb9", 0),
+    ("3", "--inject-fault"):
+        ("2c90c69b8bdc0847e5527659a2f6c3ad3c8158faf232104a515bb9d8f32ec0f7", 1),
+}
+
+
+@pytest.mark.parametrize("args", list(SELFCHECK))
+def test_selfcheck_reports(capsys, args):
+    code = main(["selfcheck", "--seed", *args])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == SELFCHECK[args]
+
+
 # ``pairwise_base_distance`` on seeded MB pairs of 0-7 components per side:
 # 1-4-D; Diracs mixed with Gaussians whose covariances (some singular) are
 # scaled by 1e-3, 1 or 1e6; 5 % of means near 1e155, so their squared gaps
