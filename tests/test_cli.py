@@ -505,6 +505,16 @@ _ONE_DIRAC = mb_doc(dirac(1.0, 0.0))
         ),
         (["oracle", "assign", "{0}"], [{}], "expected an object with a 'costs' matrix"),
         (
+            ["oracle", "ot-dirac", "{0}", "{1}"],
+            [mb_doc(gauss(1.0, [0.0], [[1.0]])), _ONE_DIRAC],
+            "ot-dirac requires Dirac single-object densities",
+        ),
+        (
+            ["eval", "{0}", "{1}"],
+            [{"points": [[]]}, {"points": [[0.0]]}],
+            "'points' vectors must have at least one coordinate",
+        ),
+        (
             ["oracle", "assign", "{0}"],
             [{"costs": [["1", 2.0]]}],
             "'costs' is not an array of numbers",
@@ -518,16 +528,6 @@ _ONE_DIRAC = mb_doc(dirac(1.0, 0.0))
             ["oracle", "assign", "{0}"],
             [{"costs": [[1.0, 2.0], [3.0]]}],
             "'costs' is not an array of numbers",
-        ),
-        (
-            ["oracle", "ot-dirac", "{0}", "{1}"],
-            [mb_doc(gauss(1.0, [0.0], [[1.0]])), _ONE_DIRAC],
-            "ot-dirac requires Dirac single-object densities",
-        ),
-        (
-            ["eval", "{0}", "{1}"],
-            [{"points": [[]]}, {"points": [[0.0]]}],
-            "'points' vectors must have at least one coordinate",
         ),
     ],
 )
