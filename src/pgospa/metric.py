@@ -62,8 +62,9 @@ another solve whenever one clears twice that tolerance: on a block the
 closed form decided, in which the matching holds every reported pair,
 the depth of its shallowest reported dip; otherwise, or when that does
 not clear, a bound from the optimal duals.  Every case they leave
-undecided goes to ``_second_best_total_p``, which re-solves the
-assignment once per matched pair with that pair forbidden.
+undecided goes to ``_near_alternative``, which re-solves the assignment
+with each matched pair in turn forbidden, as an infinite entry, until it
+finds such a matching.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from .model import (
     MBDensity,
     MBMixture,
     MetricParams,
-    SchemaError,
+    _point_array,
     _point_masses,
 )
 
@@ -157,34 +158,32 @@ def _pair_terms(rx, ry, D, p, cpa):
     return np.minimum(rx, ry) * D**p, np.abs(rx - ry) * cpa
 
 
-def _second_best_total_p(reduced, pair_cost, ry, cpa, pairs, reported):
-    """Best objective over the matchings that differ from ``pairs`` in their
-    reported pairs (the pairs where the boolean matrix ``reported`` is
-    true), or inf."""
+def _near_alternative(reduced, pair_cost, ry, cpa, pairs, reported, total_p, p) -> bool:
+    """Whether a matching that reports other pairs than the optimal
+    ``pairs`` (the pairs where the boolean matrix ``reported`` is true)
+    comes within ``NEAR_TIE_ABS_TOL`` of the optimal metric value
+    ``total_p ** (1/p)``.  Each matched pair in turn is forbidden, as an
+    infinite entry, and the assignment re-solved, up to the first such
+    matching; a pair that every matching uses is skipped."""
     n = reduced.shape[1]
-    with np.errstate(over="ignore"):  # inf forbids the entry all the same
-        forbid_bound = 2.0 * float(np.abs(reduced).sum()) + 1.0
-    best = np.inf
     shown = {pair for pair in pairs if reported[pair]}
-    for i, j in pairs:
+    for pair in pairs:
         work = reduced.copy()
-        work[i, j] = forbid_bound
+        work[pair] = np.inf
         try:
             rid, cid = linear_sum_assignment(work)
-        except ValueError:
-            # Infeasible: every matching uses (i, j).  This happens when the
-            # bound overflows to inf, which scipy treats as a forbidden entry.
+        except ValueError:  # infeasible: every matching uses the pair
             continue
-        alt = sorted(zip(rid.tolist(), cid.tolist()))
-        if (i, j) in alt:
+        if {alt for alt in zip(rid.tolist(), cid.tolist()) if reported[alt]} == shown:
             continue
-        # scipy returns the rows sorted: the pairs in the order of ``alt``
+        # scipy returns the rows sorted: the pairs in row order
         free = np.ones(n, dtype=bool)
         free[cid] = False
-        total_p = _left_sum(pair_cost[rid, cid]) + _left_sum(ry[free] * cpa)
-        if {pair for pair in alt if reported[pair]} != shown:
-            best = min(best, total_p)
-    return best
+        alt_p = _left_sum(pair_cost[rid, cid]) + _left_sum(ry[free] * cpa)
+        # a total of inf gives a gap of +inf, or of NaN: no near tie
+        if alt_p ** (1.0 / p) - total_p ** (1.0 / p) <= NEAR_TIE_ABS_TOL:
+            return True
+    return False
 
 
 def _no_near_tie(reduced, cols, reported, total_p, p, decided=False) -> bool:
@@ -439,16 +438,10 @@ def _score(
         # for alpha = 2 only the pairs with d < c are reported
         reported = D < c if alpha == 2.0 else np.ones(D.shape, bool)
         reduced = scores.reduced[0]
-        if _no_near_tie(reduced, cols, reported, total_p, p, bool(scores.decided[0])):
-            near_tie = False
-        else:
-            cpa = c**p / alpha
-            second = _second_best_total_p(
-                reduced, scores.pair_cost[0], ry, cpa, pairs, reported
-            )
-            # a second best of inf gives a gap of +inf, or of NaN: no near tie
-            gap = second ** (1.0 / p) - total_p ** (1.0 / p)
-            near_tie = bool(gap <= NEAR_TIE_ABS_TOL)
+        certified = _no_near_tie(reduced, cols, reported, total_p, p, bool(scores.decided[0]))
+        near_tie = not certified and _near_alternative(
+            reduced, scores.pair_cost[0], ry, c**p / alpha, pairs, reported, total_p, p
+        )
 
     if scores.terms is None:
         gamma = pairs
@@ -480,8 +473,8 @@ def pgospa(
     reports other pairs comes within ``NEAR_TIE_ABS_TOL`` of the optimal
     metric value (the reported pairs and the decomposition then depend on
     the deterministic tie-break), up to ``LEX_REFINE_MAX`` per side and
-    None above.  The dual bound of ``_no_near_tie`` decides "no" where it
-    can; the re-solve loop of ``_second_best_total_p`` decides the rest.
+    None above.  The bounds of ``_no_near_tie`` decide "no" where they
+    can; the re-solves of ``_near_alternative`` decide the rest.
     """
     base = BaseDistanceKind(base)
     a, b, swapped = _oriented(fx, fy)
@@ -497,20 +490,14 @@ def gospa(x_points, y_points, params: MetricParams) -> PGospaResult:
     By definition this is ``pgospa`` with the Euclidean base distance on
     the lifted MB densities (unit existence probabilities, Dirac densities
     at the points), which it calls; the existence-mismatch term is
-    identically zero.  An array without rows is the empty set, and one with
-    rows but no coordinates a ``SchemaError``, as in ``eval``.  The lift
-    validates the points (``SchemaError``) and ``pgospa`` their dimensions
+    identically zero.  The point sets are read as ``eval`` reads them
+    (``model._point_array``): an array without rows is the empty set, and
+    anything but a 2-D array of finite numbers with at least one coordinate
+    is a ``SchemaError``; ``pgospa`` checks their dimensions
     (``DimensionMismatchError``).
     """
-    X = np.asarray(x_points, dtype=float)
-    Y = np.asarray(y_points, dtype=float)
-    if any(P.ndim > 1 and len(P) and not P.size for P in (X, Y)):
-        raise SchemaError("'points' vectors must have at least one coordinate")
-    if X.size == 0:
-        X = X.reshape(0, Y.shape[1] if Y.ndim == 2 and Y.size else 0)
-    if Y.size == 0:
-        Y = Y.reshape(0, X.shape[1] if X.ndim == 2 and X.size else 0)
-    return pgospa(_point_masses(X), _point_masses(Y), params, BaseDistanceKind.EUCLIDEAN)
+    fx, fy = (_point_masses(_point_array(points)) for points in (x_points, y_points))
+    return pgospa(fx, fy, params, BaseDistanceKind.EUCLIDEAN)
 
 
 def _score_pairs(pairs, params: MetricParams, base: BaseDistanceKind) -> tuple:

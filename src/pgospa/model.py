@@ -403,8 +403,13 @@ class MBMixture:
         if not (np.isfinite(total) and total > 0.0):
             raise SchemaError("mixture weights must have a positive finite sum")
         if abs(total - 1.0) > MIXTURE_WARN_TOL:
+            # name the first caller outside this module, at stack level
+            # ``level``: 2 is this constructor's own caller
+            level, frame = 2, sys._getframe(1)
+            while frame.f_globals is globals():
+                level, frame = level + 1, frame.f_back
             warnings.warn(
-                f"mixture weights sum to {total:.9g}; renormalizing", stacklevel=3
+                f"mixture weights sum to {total:.9g}; renormalizing", stacklevel=level
             )
         if abs(total - 1.0) > 1e-12:
             entries = tuple((w / total, mb) for w, mb in entries)
@@ -753,9 +758,16 @@ def points_from_dict(data) -> np.ndarray:
     raw = data["points"]
     if not isinstance(raw, list):
         raise SchemaError("'points' must be a list of vectors")
-    if not raw:
+    return _point_array(raw)
+
+
+def _point_array(value) -> np.ndarray:
+    """The point set ``value`` as an (n, D) float array, as ``eval`` reads
+    it: no rows is the (0, 0) empty set; anything but a 2-D array of finite
+    numbers with at least one coordinate is a schema error."""
+    arr = _float_array(value, "'points'")
+    if arr.ndim and not len(arr):
         return np.zeros((0, 0))
-    arr = _float_array(raw, "'points'")
     if arr.ndim != 2:
         raise SchemaError("'points' must be a list of equal-length vectors")
     if not arr.shape[1]:

@@ -641,6 +641,19 @@ def test_huge_cutoff_prints_no_overflow_warning(tmp_path, capsys):
     assert json.loads(out)["matched_pairs"] == [[0, 0], [1, 1]]
 
 
+def test_near_tie_fallback_stops_at_its_first_witness(tmp_path, capsys, monkeypatch):
+    # every matching ties here: the re-solve that forbids the first matched
+    # pair is a witness, and the second pair is never forbidden
+    fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 0.0), dirac(1.0, 5.0)))
+    fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, 0.0), dirac(1.0, 1.0), dirac(1.0, 7.0)))
+    calls, solve = [], metric.linear_sum_assignment
+    monkeypatch.setattr(metric, "linear_sum_assignment", lambda C: calls.append(C) or solve(C))
+    code, out, err = run(capsys, "eval", fx, fy, "--c", "1.3e154", "--p", "2", "--alpha", "1")
+    doc = json.loads(out)
+    assert (code, err, doc["near_tie"]) == (0, "", True)
+    assert len(calls) < len(doc["matched_pairs"]) == 2
+
+
 def test_overflowing_mean_gap_saturates_silently(tmp_path, capsys):
     fx = write(tmp_path / "x.json", mb_doc(dirac(1.0, 1e308)))
     fy = write(tmp_path / "y.json", mb_doc(dirac(1.0, -1e308)))

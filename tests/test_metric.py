@@ -225,7 +225,7 @@ def tie_heavy_doc(rng, n):
 
 class TestNearTieCertificate:
     """The dual certificate may only answer "no near tie"; every other case
-    runs the re-solve loop ``_second_best_total_p``, so the flag must equal
+    runs the re-solve loop ``_near_alternative``, so the flag must equal
     the loop's on every input."""
 
     @pytest.fixture
@@ -402,6 +402,23 @@ class TestGospa:
                 gospa(x, y, P1)
         want = gospa(np.zeros((0, 2)), [[1.0, 2.0]], P1).total
         assert gospa([], [[1.0, 2.0]], P1).total == want == 2.5
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([["1", True]], "'points' is not an array of numbers"),
+            ([[True]], "'points' is not an array of numbers"),
+            (np.array([[True]]), "'points' is not an array of numbers"),
+            ([1.0, 2.0], "'points' must be a list of equal-length vectors"),
+            (5.0, "'points' must be a list of equal-length vectors"),
+            ([[0.0, np.inf]], "point set contains non-finite entries"),
+        ],
+    )
+    def test_points_are_read_as_eval_reads_them(self, points, message):
+        # numeric strings, booleans, 1-D arrays and scalars are no point sets
+        for x, y in [(points, [[0.0, 0.0]]), ([[0.0, 0.0]], points)]:
+            with pytest.raises(SchemaError, match=message):
+                gospa(x, y, P1)
 
     def test_swapped_orientation_decomposition_sides(self):
         # more ground-truth points than estimates: the surplus is missed

@@ -182,6 +182,15 @@ def test_mixture_renormalizes_and_warns():
         mbm_from_dict({"mixture": [{"weight": -0.2, "mb": mb}]})
 
 
+def test_directly_built_mixture_warns_at_the_building_line():
+    # not at the caller's caller: the first frame outside pgospa.model
+    mb = mb_from_dict(mb_doc([gauss(0.5, [0.0], [[1.0]])]))
+    with pytest.warns(UserWarning, match="sum to 0.9; renormalizing") as caught:
+        line = sys._getframe().f_lineno + 1
+        MBMixture([(0.5, mb), (0.4, mb)])
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+
 def test_mixture_rejects_bad_entries():
     one = mb_from_dict(mb_doc([gauss(0.5, [0.0], [[1.0]])]))
     two = mb_from_dict(mb_doc([gauss(0.5, [0.0, 1.0], np.eye(2).tolist())]))
