@@ -23,12 +23,16 @@ are the candidates, and only they are compared bit for bit on the full
 mean, the kind and the covariance.
 Matrix square roots use symmetric eigendecomposition with eigenvalues
 clamped at zero (tolerance 1e-9), which is robust at the small state
-dimensions typical of tracking problems.
+dimensions typical of tracking problems.  The public ``w2_stack`` checks
+every finite covariance of both operands against that tolerance, from
+its eigenvalues alone, and then calls the kernel ``_w2``, which roots
+only what enters a Bures term.  ``pairwise_blocks`` calls the kernel
+directly: every ``MBDensity`` holds its covariances in PSD normal form.
 
 The metric only uses ``min(d, c)``, so ``pairwise_base_distance`` takes an
 optional cut-off ``c`` and then returns the clipped matrix.  W2 and
 Euclidean, which is W2 between zero covariances, share one kernel,
-``w2_stack``, called once per ``pairwise_blocks`` call, and one selection
+``_w2``, called once per ``pairwise_blocks`` call, and one selection
 rule: without ``c`` every pair is computed, and with ``c`` only the pairs
 that pass the gate.  W2^2 is ||mx - my||^2 plus the Bures term, which is
 non-negative, so a pair whose mean gap alone reaches c saturates.  The
@@ -58,7 +62,8 @@ negative.  So ``pairwise_blocks`` applies the equal-operand rule and the
 clip at c to the computed pairs alone, and sets every other entry to c:
 the clipped matrix is bit-identical to ``np.minimum(D, c)`` of the full
 one.  A zero covariance has a zero square root and a zero Bures term, so
-a pair with a Dirac side takes no eigen-solve.  Where ||mx - my||^2
+a pair with a Dirac side takes no eigen-solve: the kernel roots ``Py``
+only for the pairs of two non-zero covariances.  Where ||mx - my||^2
 overflows but the coordinate differences do not, the distance is taken
 in scaled form, ``s sqrt(||diff / s||^2 + tt / s^2)`` with s = max |diff|;
 an overflowing coordinate difference gives an infinite, hence saturated,
@@ -156,40 +161,53 @@ def _root(dm2, diff, tt) -> np.ndarray:
     return out
 
 
+def _eig_roots(w) -> np.ndarray:
+    """The roots of the eigenvalues ``w`` of symmetric PSD matrices, clamped
+    at 0; an eigenvalue below ``-PSD_SQRT_TOL * max(1, max |w|)`` raises."""
+    if w.size and w.min() < -PSD_SQRT_TOL * max(1.0, np.abs(w).max()):
+        raise ValueError(f"matrix square root failed: eigenvalue {w.min():.3g} below tolerance")
+    return np.sqrt(np.clip(w, 0.0, None))
+
+
 def _psd_sqrt(mats: np.ndarray) -> np.ndarray:
     """Square roots of stacked symmetric PSD matrices (..., D, D)."""
     w, v = np.linalg.eigh(mats)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w.size and float(w.min()) < -PSD_SQRT_TOL * scale:
-        raise ValueError(
-            f"matrix square root failed: eigenvalue {w.min():.3g} below tolerance"
-        )
-    s = np.sqrt(np.clip(w, 0.0, None))
-    return (v * s[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return (v * _eig_roots(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def _bures_cross(Px, sy) -> np.ndarray:
     """tr (sy Px sy)^{1/2} for broadcast stacks, with ``sy`` = Py^{1/2}.
     A product that overflows is not solved and gives NaN, so that
-    ``w2_stack`` takes its pair in scaled form."""
+    ``_w2`` takes its pair in scaled form."""
     with np.errstate(over="ignore", invalid="ignore"):
         prod = sy @ Px @ sy
     ok = np.isfinite(prod).all((-2, -1))
     lam = np.linalg.eigvalsh(np.where(ok[..., None, None], prod, 0.0))
-    scale = max(1.0, float(np.abs(lam).max())) if lam.size else 1.0
-    if lam.size and float(lam.min()) < -PSD_SQRT_TOL * scale:
-        raise ValueError(
-            f"matrix square root failed: eigenvalue {lam.min():.3g} below tolerance"
-        )
-    return np.where(ok, np.sqrt(np.clip(lam, 0.0, None)).sum(-1), np.nan)
+    return np.where(ok, _eig_roots(lam).sum(-1), np.nan)
 
 
 def w2_stack(mx, Px, my, Py) -> np.ndarray:
     """Elementwise 2-Wasserstein distances for broadcast Gaussian stacks.
 
     ``mx``/``my`` broadcast over (..., D) and ``Px``/``Py`` over (..., D, D).
+    Every finite covariance of both sides, in the shapes given, is checked
+    from its eigenvalues, one ``eigvalsh`` per side: an eigenvalue below
+    the square-root tolerance raises ``matrix square root failed``, in 1-D
+    too.  The distances are then those of the kernel ``_w2``.
     """
     mx, Px, my, Py = (np.asarray(a, dtype=float) for a in (mx, Px, my, Py))
+    for P in (Px, Py):
+        # a matrix with a non-finite entry has no eigenvalues to check
+        finite = np.isfinite(P).all((-2, -1))[..., None, None]
+        _eig_roots(np.linalg.eigvalsh(np.where(finite, P, 0.0)))
+    return _w2(mx, Px, my, Py)
+
+
+def _w2(mx, Px, my, Py) -> np.ndarray:
+    """The W2 kernel of ``w2_stack``, on float arrays whose covariances the
+    caller has checked or holds in PSD normal form.  A zero covariance has
+    a zero root and a zero Bures term, so ``Py`` is rooted, and the Bures
+    term solved, only on the pairs of two non-zero covariances."""
     with np.errstate(over="ignore"):
         diff = mx - my
         dm2 = (diff**2).sum(-1)
@@ -199,21 +217,15 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
         sy = np.sqrt(np.clip(Py[..., 0, 0], 0.0, None))
         tt = (sx - sy) ** 2
     else:
-        # a zero covariance has a zero root and a zero Bures term: solve
-        # only the non-zero Py, and the pairs of two non-zero covariances
         with np.errstate(over="ignore"):
             tt = np.trace(Px, axis1=-2, axis2=-1) + np.trace(Py, axis1=-2, axis2=-1)
-        live_y = Py.any((-2, -1))
-        if live_y.any():
-            sy = np.zeros_like(Py)
-            sy[live_y] = _psd_sqrt(Py[live_y])
-            both = Px.any((-2, -1)) & live_y
-            if both.any():
-                stack = both.shape + Px.shape[-2:]
-                tt = np.array(tt)
-                tt[both] -= 2.0 * _bures_cross(
-                    np.broadcast_to(Px, stack)[both], np.broadcast_to(sy, stack)[both]
-                )
+        both = Px.any((-2, -1)) & Py.any((-2, -1))
+        if both.any():
+            stack = both.shape + Px.shape[-2:]
+            tt = np.array(tt)
+            tt[both] -= 2.0 * _bures_cross(
+                np.broadcast_to(Px, stack)[both], _psd_sqrt(np.broadcast_to(Py, stack)[both])
+            )
     with np.errstate(over="ignore"):
         out = _root(dm2, diff, tt)
     bad = ~np.isfinite(tt)
@@ -237,7 +249,7 @@ def _w2_scaled(out, bad, mx, Px, my, Py) -> np.ndarray:
     s = np.ldexp(1.0, -(-np.frexp(big)[1] // 2))
     v, m = s[:, None], s[:, None, None]  # s^2 may overflow: divide twice
     with np.errstate(over="ignore"):
-        out[bad] = s * w2_stack(mx / v, Px / m / m, my / v, Py / m / m)
+        out[bad] = s * _w2(mx / v, Px / m / m, my / v, Py / m / m)
     return out[()]  # a scalar for 1 x 1 operands, as from the plain form
 
 
@@ -431,12 +443,12 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
     are the largest sizes, and the padding holds no distance.  A block with
     an empty side has no entries to compute.  The blocks' operands are held
     as padded (B, rows, ...) stacks, and the W2 pairs of all blocks that
-    pass the gate (every pair without ``c``) go through one ``w2_stack``
-    call; the equal-operand rule and the clip at ``c`` touch those pairs
-    only, every other entry is ``c``.  Hellinger blocks are checked and
-    computed in full one at a time, in block order: the first block with a
-    Dirac or a covariance that is not strictly positive-definite raises its
-    own fault."""
+    pass the gate (every pair without ``c``) go through one call of the
+    kernel ``_w2``; the equal-operand rule and the clip at ``c`` touch
+    those pairs only, every other entry is ``c``.  Hellinger blocks are
+    checked and computed in full one at a time, in block order: the first
+    block with a Dirac or a covariance that is not strictly
+    positive-definite raises its own fault."""
     kind = BaseDistanceKind(kind)
     sizes = [(len(x.r), len(y.r)) for x, y in blocks]
     # without a cut-off every real pair is computed, and clipping is a no-op
@@ -477,7 +489,7 @@ def pairwise_blocks(blocks, kind: BaseDistanceKind = BaseDistanceKind.W2, *, c=N
         b, i, j = _real_pairs(m, n)
     else:  # W2, and Euclidean: W2 between zero covariances
         b, i, j = _real_pairs(m, n) if c is None else _nonzero(_gate(mx, Px, my, Py, cut))
-        d = w2_stack(mx[b, i], Px[b, i], my[b, j], Py[b, j])
+        d = _w2(mx[b, i], Px[b, i], my[b, j], Py[b, j])
     # bit-for-bit equal operands give exactly 0
     d[_same_operands(sides, b, i, j)] = 0.0
     D[live[b], i, j] = np.minimum(d, cut)

@@ -346,6 +346,15 @@ def test_dirac_side_takes_no_bures_term(rng, monkeypatch):
         return real(Px, sy)
 
     monkeypatch.setattr(distances, "_bures_cross", counting)
+    # nor a square root: a pair with a zero covariance takes no eigen-solve
+    roots = []
+    real_sqrt = distances._psd_sqrt
+
+    def counting_sqrt(mats):
+        roots.append(mats.shape[:-2])
+        return real_sqrt(mats)
+
+    monkeypatch.setattr(distances, "_psd_sqrt", counting_sqrt)
     for dim in (2, 3, 4):
         diracs = _mixed_mb(rng, np.ones(5, bool), dim)
         mixed = _mixed_mb(rng, np.arange(6) % 2 == 0, dim)
@@ -353,12 +362,14 @@ def test_dirac_side_takes_no_bures_term(rng, monkeypatch):
             for c in (None, 3.0, 1e3):
                 pairwise_base_distance(x, y, c=c)
                 w2_stack(x.means[:, None], x.covs[:, None], y.means[None], y.covs[None])
-        assert bures == []
+        assert bures == [] and roots == []
         # between two mixed sides, only the Gaussian x Gaussian pairs
         other = _mixed_mb(rng, np.arange(7) % 3 == 0, dim)
         pairwise_base_distance(mixed, other)
         assert [int(np.prod(s)) for s in bures] == [3 * 4]
+        assert [int(np.prod(s)) for s in roots] == [3 * 4]
         bures.clear()
+        roots.clear()
 
 
 def test_zero_covariance_keeps_the_square_root_check():
@@ -369,6 +380,70 @@ def test_zero_covariance_keeps_the_square_root_check():
     with pytest.raises(ValueError, match="matrix square root failed"):
         Py = np.stack([zero, bad, zero])[None]
         w2_stack(np.zeros((1, 1, 2)), zero[None, None], np.ones((1, 3, 2)), Py)
+
+
+def test_w2_stack_checks_both_covariances():
+    # a non-PSD covariance raises on either side, also against a zero one
+    zero, bad = np.zeros((2, 2)), np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="matrix square root failed"):
+        w2_stack(np.ones(2), bad, np.zeros(2), zero)
+    with pytest.raises(ValueError, match="matrix square root failed"):
+        Px = np.stack([zero, bad, zero])[:, None]
+        w2_stack(np.ones((3, 1, 2)), Px, np.zeros((1, 1, 2)), zero[None, None])
+    # in 1-D, where no root is taken, a negative variance is not clipped
+    for var in (0.0, 1.0):
+        for Px, Py in (([[-1.0]], [[var]]), ([[var]], [[-1.0]])):
+            with pytest.raises(ValueError, match="matrix square root failed"):
+                w2_stack(np.zeros(1), Px, np.ones(1), Py)
+
+
+def _w2_squared_reference(mx, Px, my, Py) -> float:
+    """W2^2 of one pair in plain float64, independent of ``w2_stack``: the
+    Bures term in the other root order, tr (Px^{1/2} Py Px^{1/2})^{1/2}."""
+    w, v = np.linalg.eigh(Px)
+    sx = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    inner = sx @ Py @ sx
+    lam = np.linalg.eigvalsh((inner + inner.T) / 2.0)
+    bures = np.sqrt(np.clip(lam, 0.0, None)).sum()
+    return float(((mx - my) ** 2).sum() + np.trace(Px) + np.trace(Py) - 2.0 * bures)
+
+
+def _ill_conditioned_cov(rng, dim):
+    """A random rotation of eigenvalues spread over a condition number up to
+    1e12, a fifth of them singular (1 to dim - 1 eigenvalues zero)."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    spread = rng.uniform(0.0, 1.0, dim)
+    spread[:2] = 0.0, 1.0
+    w = 10.0 ** rng.uniform(-2.0, 2.0) * 10.0 ** (-rng.uniform(0.0, 12.0) * spread)
+    if rng.random() < 0.2:
+        w[rng.permutation(dim)[: rng.integers(1, dim)]] = 0.0
+    cov = (q * w) @ q.T
+    return (cov + cov.T) / 2.0
+
+
+def test_w2_matches_an_independent_reference():
+    # non-commuting, ill-conditioned and singular covariances in 2-8-D, a
+    # Dirac on either side in some pairs; the bound is the rounding that
+    # W2_GATE_SLACK's comment assumes of the Bures term
+    rng = np.random.default_rng(20240925)
+    worst = 0.0
+    for dim in range(2, 9):
+        n = 300
+        Px = np.stack([_ill_conditioned_cov(rng, dim) for _ in range(n)])
+        Py = np.stack([_ill_conditioned_cov(rng, dim) for _ in range(n)])
+        side = rng.random(n)
+        Px[side < 0.1] = 0.0
+        Py[side > 0.9] = 0.0
+        # mean gaps of the order of the covariances' scale
+        scale = np.sqrt(np.trace(Px, axis1=1, axis2=2) + np.trace(Py, axis1=1, axis2=2))
+        mx = rng.normal(size=(n, dim)) * scale[:, None]
+        my = mx + rng.normal(size=(n, dim)) * scale[:, None]
+        got = w2_stack(mx, Px, my, Py) ** 2
+        for k in range(n):
+            want = _w2_squared_reference(mx[k], Px[k], my[k], Py[k])
+            err = abs(got[k] - want) / (np.trace(Px[k]) + np.trace(Py[k]))
+            worst = max(worst, err)
+    assert worst <= 3e-8
 
 
 def test_equal_operand_filter_matches_the_dense_bitwise_rule(rng):
