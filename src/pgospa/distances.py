@@ -23,11 +23,12 @@ are the candidates, and only they are compared bit for bit on the full
 mean, the kind and the covariance.
 Matrix square roots use symmetric eigendecomposition with eigenvalues
 clamped at zero (tolerance 1e-9), which is robust at the small state
-dimensions typical of tracking problems.  The public ``w2_stack`` checks
-every finite covariance of both operands against that tolerance, from
-its eigenvalues alone, and then calls the kernel ``_w2``, which roots
-only what enters a Bures term.  ``pairwise_blocks`` calls the kernel
-directly: every ``MBDensity`` holds its covariances in PSD normal form.
+dimensions typical of tracking problems.  The public ``w2_stack`` rejects
+a covariance with a non-finite entry, checks every covariance of both
+operands against that tolerance, from its eigenvalues alone, and then
+calls the kernel ``_w2``, which roots only what enters a Bures term.
+``pairwise_blocks`` calls the kernel directly: every ``MBDensity`` holds
+its covariances, all finite, in PSD normal form.
 
 The metric only uses ``min(d, c)``, so ``pairwise_base_distance`` takes an
 optional cut-off ``c`` and then returns the clipped matrix.  W2 and
@@ -190,16 +191,17 @@ def w2_stack(mx, Px, my, Py) -> np.ndarray:
     """Elementwise 2-Wasserstein distances for broadcast Gaussian stacks.
 
     ``mx``/``my`` broadcast over (..., D) and ``Px``/``Py`` over (..., D, D).
-    Every finite covariance of both sides, in the shapes given, is checked
-    from its eigenvalues, one ``eigvalsh`` per side: an eigenvalue below
-    the square-root tolerance raises ``matrix square root failed``, in 1-D
-    too.  The distances are then those of the kernel ``_w2``.
+    Every covariance of both sides, in the shapes given, is checked: a
+    non-finite entry raises ``ValueError``, as ``MBDensity`` does, and an
+    eigenvalue below the square-root tolerance (one ``eigvalsh`` per side)
+    raises ``matrix square root failed``, in 1-D too.  The distances are
+    then those of the kernel ``_w2``.
     """
     mx, Px, my, Py = (np.asarray(a, dtype=float) for a in (mx, Px, my, Py))
     for P in (Px, Py):
-        # a matrix with a non-finite entry has no eigenvalues to check
-        finite = np.isfinite(P).all((-2, -1))[..., None, None]
-        _eig_roots(np.linalg.eigvalsh(np.where(finite, P, 0.0)))
+        if not np.isfinite(P).all():
+            raise ValueError("covariances contain non-finite entries")
+        _eig_roots(np.linalg.eigvalsh(P))
     return _w2(mx, Px, my, Py)
 
 

@@ -31,6 +31,22 @@ is read only after the steps before it are scored, so the first fault in
 step order is the one raised.  Both routes give bit-identical totals and
 terms.
 
+Runs are read on every usable core.  With more than one core in the
+process's affinity mask, and no other thread running (``fork`` is unsafe
+then), the runs are split into contiguous, equal chunks, one per core
+and at most one per run.  Before the truths are read, one child is
+forked per chunk after the first.  A child lists, decodes and checks the
+documents of its runs, as ``_densities`` does for the caller, and sends
+each run's fields back over a pipe in run order.  A child never scores,
+prints, writes a file or raises to the caller: a run that it cannot read
+cleanly (a listing fault, a declined or faulty document, any exception
+or warning) is sent as None, and the caller reads that run again itself.
+The caller reads the truths and its own chunk as before, then scores
+every run in run order, in this process.  So what a run is scored from
+holds the same bits whichever process read it, and every message, exit
+code and warning comes from the caller, in the same order as on one
+core.  The caller always reaps its children, also when it raises.
+
 Aggregation: at each time step the root-mean-square value is
 (mean over runs of total^p)^(1/p).  Decomposition series, which live in
 p-th-power units, are aggregated by arithmetic mean over runs and then
@@ -46,6 +62,9 @@ exercise the pipeline; it is not a tracking filter.
 from __future__ import annotations
 
 import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +77,7 @@ from .model import (
     MBDensity,
     MBMixture,
     MetricParams,
+    _fill,
     _point_masses,
     _stacked_mbs,
     canonical_json,
@@ -121,14 +141,13 @@ def _step_score(path, truth, params, base) -> tuple:
     return _score_pairs([(mb_from_dict(doc), truth)], params, base)
 
 
-def _run_rows(paths, truths, params, base) -> tuple:
+def _run_rows(paths, estimates, truths, params, base) -> tuple:
     """One run's totals and p-th-power (4, steps) terms (None unless
     alpha = 2 and every estimate is an MB density), one entry per step.
-    The run's documents go through ``_densities`` and all its steps through
-    one ``_score_pairs`` call; if anything there refuses or raises, each
-    step is read and scored in turn by ``_step_score``, which raises the
-    first fault in step order."""
-    estimates = _densities(paths)
+    All steps of the run's densities ``estimates`` (``_densities``) go
+    through one ``_score_pairs`` call; if they are None, or anything there
+    raises, each step is read from ``paths`` and scored in turn by
+    ``_step_score``, which raises the first fault in step order."""
     if estimates is not None:
         try:
             return _score_pairs(list(zip(estimates, truths)), params, base)
@@ -139,6 +158,92 @@ def _run_rows(paths, truths, params, base) -> tuple:
     if any(t is None for t in terms):
         return np.concatenate(totals), None
     return np.concatenate(totals), np.concatenate(terms, 1)
+
+
+def _run_paths(rdir: Path, labels: tuple):
+    """The time-step files of the run directory ``rdir``; raises unless
+    they are exactly the truth's ``labels``."""
+    run_files = _timestep_files(rdir)
+    if tuple(run_files) != labels:
+        raise ValueError(f"missing/misaligned run files in {rdir}: expected {list(labels)}")
+    return run_files.values()
+
+
+def _workers(runs: int) -> int:
+    """How many processes read ``runs`` runs: one per usable core, at most
+    one per run, and only the calling process where ``fork`` is unsafe
+    (other threads are running) or the affinity call is missing."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(runs, len(os.sched_getaffinity(0)))
+
+
+def _run_fields(rdir: Path, labels: tuple) -> list | None:
+    """In a child: the (r, means, covs, dirac) arrays of each step of the
+    run ``rdir`` as ``_densities`` reads them, or None unless the run is
+    listed, read and checked without an exception or a warning.  The
+    caller reads a None run again itself, so every message comes from it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            estimates = _densities(_run_paths(rdir, labels))
+        except Exception:  # the caller raises it again
+            return None
+    if caught or estimates is None:
+        return None
+    return [(mb.r, mb.means, mb.covs, mb.dirac) for mb in estimates]
+
+
+def _fork_reader(rdirs: list, labels: tuple) -> tuple | None:
+    """Fork a child that reads the runs ``rdirs`` (``_run_fields``), then
+    pickles each run's fields to a pipe in run order.  Returns the child's
+    pid and the pipe's read end, or None if the fork failed.  The child
+    never returns into the caller's stack, and ``os._exit`` flushes no
+    stdio that it inherited."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # the caller reads these runs itself
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        try:
+            os.close(rfd)
+            # all runs are read before the first is sent: a run fills the
+            # pipe, and the caller takes it only when it reaches that run
+            runs = [_run_fields(rdir, labels) for rdir in rdirs]
+            with open(wfd, "wb") as pipe:
+                for fields in runs:
+                    pickle.dump(fields, pipe, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _received(pipe) -> list | None:
+    """The densities of the next run that a child sent on ``pipe``, as
+    read-only views like ``_stacked_mbs`` makes, or None if the child
+    declined the run or died before sending it."""
+    try:
+        fields = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the child ended before sending it
+        return None
+    return None if fields is None else [_fill(object.__new__(MBDensity), *arrays)
+                                        for arrays in fields]
+
+
+def _reap(children: list) -> None:
+    """Close the pipe of each (pid, pipe) child, kill the child and wait
+    for it.  A child has sent all its runs once the caller took its last
+    one; one that the caller left by an exception may still be reading."""
+    import signal  # only a forked read needs it: a cold start does not load it
+
+    for pid, pipe in children:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def evaluate_run_dir(
@@ -157,20 +262,35 @@ def evaluate_run_dir(
     run_names = sorted(d for d in os.listdir(runs_dir) if (runs_dir / d).is_dir())
     if not run_names:
         raise ValueError(f"no run subdirectories found in {runs_dir}")
+    rdirs = [runs_dir / name for name in run_names]
 
-    truths = _densities(truth_files.values())
-    if truths is None:
-        truths = [mb_from_dict(load_document(path)) for path in truth_files.values()]
+    # contiguous chunks of runs, the first for the caller; each later one
+    # is read by a child while the caller reads the truths and its own
+    workers = _workers(len(rdirs))
+    bounds = [k * len(rdirs) // workers for k in range(workers + 1)]
+    children, pipes = [], {}  # pipes: run index -> the pipe its child sends it on
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            child = _fork_reader(rdirs[lo:hi], labels)
+            if child is not None:
+                children.append(child)
+                pipes.update(dict.fromkeys(range(lo, hi), child[1]))
 
-    rows = []
-    for run_name in run_names:
-        rdir = runs_dir / run_name
-        run_files = _timestep_files(rdir)
-        if tuple(run_files) != labels:
-            raise ValueError(
-                f"missing/misaligned run files in {rdir}: expected {list(labels)}"
-            )
-        rows.append(_run_rows(run_files.values(), truths, params, base))
+        truths = _densities(truth_files.values())
+        if truths is None:
+            truths = [mb_from_dict(load_document(path)) for path in truth_files.values()]
+
+        rows = []
+        for i, rdir in enumerate(rdirs):
+            estimates = _received(pipes[i]) if i in pipes else None
+            if estimates is None:
+                paths = _run_paths(rdir, labels)
+                estimates = _densities(paths)
+            else:  # the child checked the listing
+                paths = [rdir / label for label in labels]
+            rows.append(_run_rows(paths, estimates, truths, params, base))
+    finally:
+        _reap(children)
     totals, terms = zip(*rows)
     decomposable = all(t is not None for t in terms)
     return RunSeries(

@@ -397,6 +397,65 @@ def test_w2_stack_checks_both_covariances():
                 w2_stack(np.zeros(1), Px, np.ones(1), Py)
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_w2_stack_rejects_a_non_finite_covariance_in_either_order(dim, bad):
+    # from 3-D on, eigh on such a Py raised numpy's LinAlgError while the
+    # mirrored call returned NaN; now both orders raise the same ValueError
+    broken = np.eye(dim)
+    broken[0, 0] = bad
+    for partner in (np.eye(dim), np.zeros((dim, dim))):
+        for Px, Py in ((partner, broken), (broken, partner)):
+            with pytest.raises(ValueError, match="covariances contain non-finite entries"):
+                w2_stack(np.ones(dim), Px, np.zeros(dim), Py)
+
+
+def _hellinger_reference(mx, Px, my, Py) -> float:
+    """Hellinger distance of one pair in determinant form, independent of
+    the production path's log-determinants and solve:
+    BC = det(Px)^(1/4) det(Py)^(1/4) / det(M)^(1/2) exp(-dm' M^-1 dm / 8),
+    with M = (Px + Py) / 2 and dm = mx - my."""
+    M = (Px + Py) / 2.0
+    dm = mx - my
+    bc = (np.linalg.det(Px) ** 0.25 * np.linalg.det(Py) ** 0.25 / np.sqrt(np.linalg.det(M))
+          * np.exp(-(dm @ np.linalg.inv(M) @ dm) / 8.0))
+    return math.sqrt(max(1.0 - bc, 0.0))
+
+
+def _spread_cov(rng, dim):
+    """A random rotation of eigenvalues in [0.1, 10]: condition number <= 100."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    cov = (q * 10.0 ** rng.uniform(-1.0, 1.0, dim)) @ q.T
+    return (cov + cov.T) / 2.0
+
+
+def test_hellinger_matches_an_independent_reference():
+    # 1020 positive-definite pairs in 1-6-D, mean gaps from 0 to a few
+    # standard deviations, so BC spans (0, 1].  Each determinant and the
+    # quadratic form carry a relative rounding of about D * cond * eps <=
+    # 6 * 100 * 2.2e-16 = 1.3e-13, and BC <= 1, so the two forms of
+    # H^2 = 1 - BC must agree within 1e-11
+    rng = np.random.default_rng(20241022)
+    worst, pairs = 0.0, 0
+    for dim in range(1, 7):
+        n = 170
+        sides = []
+        for _ in range(2):
+            covs = np.stack([_spread_cov(rng, dim) for _ in range(n)])
+            sides.append((rng.normal(size=(n, dim)), covs))
+        (mx, Px), (my, Py) = sides
+        my = mx + rng.uniform(0.0, 3.0, (n, 1)) * rng.normal(size=(n, dim))
+        x = MBDensity.from_arrays(np.ones(n), mx, Px, np.zeros(n, bool))
+        y = MBDensity.from_arrays(np.ones(n), my, Py, np.zeros(n, bool))
+        got = np.diag(pairwise_base_distance(x, y, BaseDistanceKind.HELLINGER))
+        for k in range(n):
+            want = _hellinger_reference(x.means[k], x.covs[k], y.means[k], y.covs[k])
+            worst = max(worst, abs(got[k] ** 2 - want**2))
+        pairs += n
+    assert pairs >= 1000
+    assert worst <= 1e-11
+
+
 def _w2_squared_reference(mx, Px, my, Py) -> float:
     """W2^2 of one pair in plain float64, independent of ``w2_stack``: the
     Bures term in the other root order, tr (Px^{1/2} Py Px^{1/2})^{1/2}."""

@@ -3,7 +3,9 @@ import inspect
 import io
 import linecache
 import math
+import os
 import shutil
+import threading
 import warnings
 from pathlib import Path
 
@@ -456,3 +458,161 @@ def test_run_directory_layout_faults_exit_3(tmp_path, capsys, layout):
     message = layout(root)
     assert main(["montecarlo", str(root), "--out", str(tmp_path / "o.csv")]) == 3
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+# ---------------------------------------------------------------------------
+# The parallel read: the runs after the caller's chunk are read in children
+
+
+def forced_workers(monkeypatch, workers):
+    """Make ``workers`` cores usable; returns the list that each fork of
+    the calling process appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def five_run_dir(root: Path, mixture: bool) -> Path:
+    """Five runs of 4 steps: run002 of mixtures if ``mixture``, an extra
+    key in one document of run003, which declines that run's pass, and an
+    empty estimate in run004.  With 2 or 3 workers the caller reads run000
+    (and run001 with 2), and children read the rest."""
+    root = generate_runs(root, n_runs=5, n_steps=4, n_objects=4, seed=11)
+    if mixture:
+        mixed = generate_runs(root.parent / "mix", n_runs=3, n_steps=4, n_objects=4, seed=11,
+                              mixture=True)
+        for path in (mixed / "runs" / "run002").glob("*.json"):
+            shutil.copy(path, root / "runs" / "run002" / path.name)
+    path = root / "runs" / "run003" / "t001.json"
+    doc = load_document(path)
+    doc["components"][0]["label"] = "object 0"
+    path.write_text(canonical_json(doc) + "\n", encoding="utf-8")
+    (root / "runs" / "run004" / "t002.json").write_text('{"components":[]}\n')
+    return root
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("mixture", [False, True], ids=["mb", "mixture"])
+def test_parallel_read_equals_per_step_scoring(tmp_path, monkeypatch, workers, mixture):
+    root = five_run_dir(tmp_path / "rd", mixture)
+    forks = forced_workers(monkeypatch, workers)
+    step_score, scored = montecarlo._step_score, []
+    monkeypatch.setattr(montecarlo, "_step_score",
+                        lambda path, *args: scored.append(path) or step_score(path, *args))
+    params = MetricParams(c=3.0, p=2.0, alpha=2.0)
+    series = evaluate_run_dir(root, params)
+    assert len(forks) == workers - 1
+    assert_no_child_left()
+    totals, terms = per_step(root, params, BaseDistanceKind.W2)
+    assert series.totals.tobytes() == totals.tobytes()
+    if mixture:
+        assert series.decomposition is None
+    else:
+        for key in TERMS:
+            assert series.decomposition[key].tobytes() == terms[key].tobytes(), key
+    # the runs that children read cleanly are scored from what they sent;
+    # only the declined runs are read and scored step by step, by the caller
+    declined = ["run002", "run003"] if mixture else ["run003"]
+    assert scored == sorted(p for name in declined for p in (root / "runs" / name).glob("*"))
+
+
+def fault_caller_and_child(runs):
+    write_mb(runs / "run000" / "t001.json", [dirac(1.5, 0.0)])
+    (runs / "run004" / "t003.json").unlink()
+    return 2, "error: component 0: existence probability out of range (r=1.5)"
+
+
+def fault_child_listing(runs):
+    (runs / "run004" / "t003.json").unlink()
+    expected = ["t000.json", "t001.json", "t002.json", "t003.json"]
+    return 3, f"error: missing/misaligned run files in {runs / 'run004'}: expected {expected}"
+
+
+def fault_child_json(runs):
+    break_json(runs / "run003" / "t002.json")
+    return 2, "error: invalid JSON: Expecting value at line 1 column 17"
+
+
+def fault_child_dimension(runs):
+    # clean 3-D documents: the child sends the run, and its scoring raises
+    for path in (runs / "run003").glob("*.json"):
+        gauss_doc(path, [1.0, 2.0, 3.0])
+    return 3, "error: MB densities have dimensions 3 and 2"
+
+
+def fault_truth(runs):
+    # the caller raises before it reads any child's pipe
+    fault_truth_range(runs)
+    return 2, "error: component 1: existence probability out of range (r=1.5)"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize(
+    "fault",
+    [fault_caller_and_child, fault_child_listing, fault_child_json, fault_child_dimension,
+     fault_truth],
+)
+def test_parallel_read_reports_the_first_fault(tmp_path, capsys, monkeypatch, workers, fault):
+    root = generate_runs(tmp_path / "rd", n_runs=5, n_steps=4, n_objects=3, seed=2)
+    code, message = fault(root / "runs")
+    forks = forced_workers(monkeypatch, workers)
+    assert main(["montecarlo", str(root), "--out", str(tmp_path / "o.csv")]) == code
+    assert capsys.readouterr().err.strip() == message
+    assert len(forks) == workers - 1
+    assert_no_child_left()
+
+
+def test_a_run_that_warns_in_a_child_is_read_again_by_the_caller(tmp_path, monkeypatch):
+    root = generate_runs(tmp_path / "rd", n_runs=4, n_steps=3, n_objects=3, seed=12)
+    densities = montecarlo._densities
+
+    def warning_read(paths):
+        paths = list(paths)
+        if paths[0].parent.name == "run003":
+            warnings.warn("run003 read", UserWarning)
+        return densities(paths)
+
+    monkeypatch.setattr(montecarlo, "_densities", warning_read)
+    forks = forced_workers(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_equals_per_step(root, P2)
+    # the child's warning declined the run; the caller's read warned once
+    assert [str(w.message) for w in caught] == ["run003 read"]
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_runs_of_a_child_that_dies_are_read_by_the_caller(tmp_path, monkeypatch):
+    root = generate_runs(tmp_path / "rd", n_runs=4, n_steps=3, n_objects=3, seed=13)
+    monkeypatch.setattr(montecarlo, "_run_fields", lambda rdir, labels: os._exit(0))
+    forks = forced_workers(monkeypatch, 2)
+    assert_equals_per_step(root, P2)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("condition", ["a second thread", "no affinity call"])
+def test_no_fork_with_threads_or_without_the_affinity_call(tmp_path, monkeypatch, condition):
+    root = generate_runs(tmp_path / "rd", n_runs=3, n_steps=2, n_objects=2, seed=14)
+    forks = forced_workers(monkeypatch, 3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if condition == "a second thread":
+        thread.start()
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    try:
+        assert_equals_per_step(root, P2)
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
